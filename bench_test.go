@@ -2,8 +2,9 @@ package tcgpu
 
 // The benchmark harness: one testing.B target per paper table and figure
 // (run with `go test -bench=. -benchmem`; each regenerates the artifact
-// in Quick mode and reports its headline number as a custom metric), plus
-// ablation benchmarks for the design choices DESIGN.md calls out.
+// in Quick mode and reports its headline number as a custom metric),
+// ablation benchmarks for the modelled design choices DESIGN.md calls
+// out, and per-layer simulation benchmarks (BenchmarkLayer).
 
 import (
 	"strconv"
@@ -229,238 +230,69 @@ func BenchmarkAblationHMMAII(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecodedALU quantifies the decoded-instruction cache:
-// the same SIMT GEMM (the fig17 bottleneck workload) with the table-driven
-// decoded dispatch versus the per-lane interpreted ALU path.
-func BenchmarkAblationDecodedALU(b *testing.B) {
-	for _, interp := range []bool{false, true} {
-		interp := interp
-		name := "decoded"
-		if interp {
-			name = "interpreted"
-		}
-		b.Run(name, func(b *testing.B) {
-			defer ptx.SwapInterpretALU(interp)()
+// BenchmarkLayer times whole simulations chosen so one layer dominates
+// each; the sub-benchmark name is layer/workload. Every launch runs on a
+// fresh simulator and reports its simulated cycle count, so a timing
+// change cannot hide behind a wall-clock one.
+//   - alu: the SIMT SGEMM (the fig17 bottleneck), decoded ALU dispatch.
+//   - mem: the SIMT HGEMM, whose staging loads and stores exercise the
+//     batched address-vector pipeline and the coalescer.
+//   - wmma: deep-K shared-memory WMMA GEMMs in both accumulation modes;
+//     every k-step stages fragments and issues an mma, so fragment data
+//     movement and tensor math dominate dispatch and drain.
+//   - sched: a 1-SM SIMT GEMM at maximum occupancy (8 CTAs, 16 warps per
+//     sub-core) under each policy, where issue selection and the wake
+//     heap dominate.
+//
+// The fig17 quick grid, the end-to-end workload behind these layers, is
+// BenchmarkFig17TFLOPS.
+func BenchmarkLayer(b *testing.B) {
+	sgemm1SM := func() (*kernels.Launch, error) { return kernels.SGEMMSimt(256, 256, 64) }
+	workloads := []struct {
+		name  string
+		sms   int
+		pol   gpu.SchedulerPolicy
+		build func() (*kernels.Launch, error)
+	}{
+		{"alu/sgemm-128", 2, gpu.GTO, func() (*kernels.Launch, error) { return kernels.SGEMMSimt(128, 128, 128) }},
+		{"mem/hgemm-64x128x128", 2, gpu.GTO, func() (*kernels.Launch, error) { return kernels.HGEMMSimt(64, 128, 128) }},
+		{"wmma/fp16-64x64x512", 2, gpu.GTO, func() (*kernels.Launch, error) {
+			return kernels.WMMAGemmShared(kernels.TensorFP16, 64, 64, 512)
+		}},
+		{"wmma/mixed-64x64x512", 2, gpu.GTO, func() (*kernels.Launch, error) {
+			return kernels.WMMAGemmShared(kernels.TensorMixed, 64, 64, 512)
+		}},
+		{"sched/gto-sgemm-1sm", 1, gpu.GTO, sgemm1SM},
+		{"sched/lrr-sgemm-1sm", 1, gpu.LRR, sgemm1SM},
+		{"sched/twolevel-sgemm-1sm", 1, gpu.TwoLevel, sgemm1SM},
+	}
+	for _, w := range workloads {
+		b.Run(w.name, func(b *testing.B) {
+			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				l, err := kernels.SGEMMSimt(128, 128, 128)
+				l, err := w.build()
 				if err != nil {
 					b.Fatal(err)
 				}
 				cfg := gpu.TitanV()
-				cfg.NumSMs = 2
+				cfg.NumSMs = w.sms
+				cfg.Scheduler = w.pol
 				sim, err := gpu.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sim.Run(gpu.LaunchSpec{
+				st, err := sim.Run(gpu.LaunchSpec{
 					Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
 					Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
 					Global: ptx.NewFlatMemory(4 << 20),
-				}); err != nil {
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
+				cycles = st.Cycles
 			}
+			b.ReportMetric(float64(cycles), "cycles")
 		})
-	}
-}
-
-// BenchmarkAblationBatchedMem quantifies the batched struct-of-arrays
-// memory pipeline (ptx.LegacyAccessPath; DESIGN.md "Batched memory
-// path") on the two memory-staging SIMT GEMMs whose per-lane load/store
-// execution and conflict counting dominated the fig17 profile.
-func BenchmarkAblationBatchedMem(b *testing.B) {
-	workloads := []struct {
-		name  string
-		build func() (*kernels.Launch, error)
-	}{
-		{"sgemm", func() (*kernels.Launch, error) { return kernels.SGEMMSimt(128, 128, 128) }},
-		{"hgemm", func() (*kernels.Launch, error) { return kernels.HGEMMSimt(64, 128, 128) }},
-	}
-	for _, w := range workloads {
-		for _, legacy := range []bool{false, true} {
-			legacy := legacy
-			name := w.name + "/batched"
-			if legacy {
-				name = w.name + "/legacy"
-			}
-			b.Run(name, func(b *testing.B) {
-				defer ptx.SwapLegacyAccessPath(legacy)()
-				for i := 0; i < b.N; i++ {
-					l, err := w.build()
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg := gpu.TitanV()
-					cfg.NumSMs = 2
-					sim, err := gpu.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := sim.Run(gpu.LaunchSpec{
-						Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-						Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-						Global: ptx.NewFlatMemory(4 << 20),
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationBatchedWMMA quantifies the batched wmma fragment
-// pipeline (ptx.LegacyFragmentPath; DESIGN.md "Batched fragment path")
-// on the tensor-core GEMMs whose per-element gather/scatter and
-// fragment data movement dominate once ld/st is batched: the
-// shared-memory WMMA kernel in both accumulation modes (hgemm is the
-// FP16-accumulate variant of the fig17 tensor series).
-func BenchmarkAblationBatchedWMMA(b *testing.B) {
-	// Deep-K tiles keep the launch wmma-dominated (every k-step stages
-	// fragments through shared memory and issues an mma), so the
-	// fragment-path delta is the measured quantity rather than dispatch
-	// and drain overhead.
-	workloads := []struct {
-		name    string
-		prec    kernels.GemmPrecision
-		m, n, k int
-	}{
-		{"hgemm", kernels.TensorFP16, 64, 64, 512},
-		{"mixed", kernels.TensorMixed, 64, 64, 512},
-	}
-	for _, w := range workloads {
-		for _, legacy := range []bool{false, true} {
-			legacy := legacy
-			w := w
-			name := w.name + "/batched"
-			if legacy {
-				name = w.name + "/legacy"
-			}
-			b.Run(name, func(b *testing.B) {
-				defer ptx.SwapLegacyFragmentPath(legacy)()
-				for i := 0; i < b.N; i++ {
-					l, err := kernels.WMMAGemmShared(w.prec, w.m, w.n, w.k)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg := gpu.TitanV()
-					cfg.NumSMs = 2
-					sim, err := gpu.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := sim.Run(gpu.LaunchSpec{
-						Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-						Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-						Global: ptx.NewFlatMemory(4 << 20),
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationReadySet quantifies the event-driven ready-set
-// scheduler against the legacy per-cycle full scan (the gpu.ScanScheduler
-// knob; DESIGN.md). Two workloads: the fig17 quick grid — whose profile
-// motivated the refactor, with Workers pinned to 1 so the comparison
-// measures scheduler cost rather than pool occupancy — and a 1-SM
-// high-occupancy SIMT GEMM (64 warps, 16 per sub-core) where warp
-// scheduling dominates and the bookkeeping win is sharpest.
-func BenchmarkAblationReadySet(b *testing.B) {
-	workloads := []struct {
-		name string
-		run  func(b *testing.B)
-	}{
-		{"fig17", func(b *testing.B) {
-			if _, err := RunExperiment("fig17", ExperimentOptions{Quick: true, Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}},
-		{"simt1sm", func(b *testing.B) {
-			l, err := kernels.SGEMMSimt(256, 256, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := gpu.TitanV()
-			cfg.NumSMs = 1
-			sim, err := gpu.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(gpu.LaunchSpec{
-				Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-				Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-				Global: ptx.NewFlatMemory(4 << 20),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}},
-	}
-	for _, w := range workloads {
-		for _, scan := range []bool{false, true} {
-			scan := scan
-			name := w.name + "/readyset"
-			if scan {
-				name = w.name + "/scan"
-			}
-			b.Run(name, func(b *testing.B) {
-				defer gpu.SwapScanScheduler(scan)()
-				for i := 0; i < b.N; i++ {
-					w.run(b)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationIssueSelect quantifies O(1) issue selection — the
-// incrementally maintained issue order plus the proactive scoreboard
-// wake — against the legacy per-cycle scan-and-sort (the
-// gpu.ScanScheduler knob; DESIGN.md "O(1) issue selection"). The
-// workload is deliberately scheduler-bound: a 1-SM SIMT GEMM at maximum
-// occupancy (8 CTAs, 64 warps, 16 per sub-core), where per-cycle
-// candidate ordering is the dominant cost, run under each policy so the
-// per-policy order structures all get a datapoint in the bench
-// trajectory.
-func BenchmarkAblationIssueSelect(b *testing.B) {
-	for _, pol := range []gpu.SchedulerPolicy{gpu.GTO, gpu.LRR, gpu.TwoLevel} {
-		for _, scan := range []bool{false, true} {
-			pol, scan := pol, scan
-			name := pol.String() + "/incremental"
-			if scan {
-				name = pol.String() + "/scan"
-			}
-			b.Run(name, func(b *testing.B) {
-				defer gpu.SwapScanScheduler(scan)()
-				var cycles uint64
-				for i := 0; i < b.N; i++ {
-					l, err := kernels.SGEMMSimt(256, 256, 64)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg := gpu.TitanV()
-					cfg.NumSMs = 1
-					cfg.Scheduler = pol
-					sim, err := gpu.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					st, err := sim.Run(gpu.LaunchSpec{
-						Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-						Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-						Global: ptx.NewFlatMemory(4 << 20),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = st.Cycles
-				}
-				b.ReportMetric(float64(cycles), "cycles")
-			})
-		}
 	}
 }
 

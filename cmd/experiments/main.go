@@ -47,7 +47,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
-	"repro/internal/ptx"
 )
 
 // Flag bounds: values beyond these are almost certainly typos (the full
@@ -139,7 +138,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	retries := fs.Int("retries", 0, "retry budget per data point for transient failures (deterministic backoff)")
 	faults := fs.String("faults", "", "fault-injection spec, e.g. 'panic@fig9:0,transient@*:*~5' (testing/debug)")
 	faultSeed := fs.Uint64("faultseed", 0, "seed for probabilistic fault sampling")
-	legacyFrag := fs.Bool("legacyfrag", false, "route wmma fragments through the per-element legacy path (debug/ablation; tables are bit-identical, just slower)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (hot-spot hunts: go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -159,14 +157,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
-	if *legacyFrag {
-		// Swap-and-restore, not a bare set: run() is re-entered
-		// in-process by the CLI tests, and leaking the process-global
-		// knob across invocations is exactly what the Swap discipline
-		// (PR 6) exists to prevent.
-		defer ptx.SwapLegacyFragmentPath(true)()
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

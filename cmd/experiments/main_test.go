@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/ptx"
 )
 
 // The -sms, -workers and -tlactive flags must be rejected at the flag
@@ -64,20 +62,6 @@ func TestExitOKOnHelp(t *testing.T) {
 		if !strings.Contains(serr, "-run") {
 			t.Errorf("%s did not print usage: %q", h, serr)
 		}
-	}
-}
-
-// Regression: -legacyfrag must restore the process-global fragment
-// knob when run returns. A bare set used to leak it across in-process
-// invocations — the exact leak the Swap discipline exists to prevent.
-func TestLegacyFragRestoredOnReturn(t *testing.T) {
-	t.Cleanup(ptx.SwapLegacyFragmentPath(false))
-	code, _, _ := execRun(t, "-run", "fig7", "-legacyfrag")
-	if code != exitOK {
-		t.Fatalf("-run fig7 -legacyfrag = %d, want %d", code, exitOK)
-	}
-	if ptx.LegacyFragmentPathEnabled() {
-		t.Error("-legacyfrag leaked the fragment-path knob past run()")
 	}
 }
 

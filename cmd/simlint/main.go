@@ -1,7 +1,7 @@
 // Command simlint runs the repository's static-analysis suite: the
 // seven analyzers that mechanically enforce the simulator's
-// determinism, hot-path, equivalence-knob and concurrency-safety
-// invariants (see internal/analysis and DESIGN.md "Enforced
+// determinism, hot-path, stats-completeness, concurrency-safety and
+// panic-recovery invariants (see internal/analysis and DESIGN.md "Enforced
 // invariants").
 //
 // Usage:

@@ -13,7 +13,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errb.String())
 	}
 	for _, name := range []string{
-		"determinism", "hotpath", "knobpair", "statcomplete",
+		"determinism", "hotpath", "statcomplete",
 		"globalmut", "frozen", "guardedby",
 	} {
 		if !strings.Contains(out.String(), name) {

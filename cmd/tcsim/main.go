@@ -24,7 +24,6 @@ import (
 	"repro/internal/cutlass"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
-	"repro/internal/ptx"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -41,9 +40,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-// run is main's body with a normal return path, so the -legacyfrag
-// restore runs before exit and CLI tests can pin the exit-code
-// contract in-process (tables still print to the process stdout).
+// run is main's body with a normal return path, so CLI tests can pin
+// the exit-code contract in-process (tables still print to the process
+// stdout).
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -61,7 +60,6 @@ func run(args []string, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker pool size for -sizes sweeps (0 = one per CPU)")
 	tlActive := fs.Int("tlactive", 0, "two-level scheduler active-subset size per sub-core (0 = config default; other policies ignore it)")
 	maxCycles := fs.Uint64("maxcycles", 0, "simulated-cycle budget per launch; a runaway kernel fails with a cycle-budget error instead of spinning (0 = generous backstop)")
-	legacyFrag := fs.Bool("legacyfrag", false, "route wmma fragments through the per-element legacy path (debug/ablation; results are bit-identical, just slower)")
 	if err := fs.Parse(args); err != nil {
 		// -h/-help surfaces as flag.ErrHelp: a successful usage request,
 		// not a usage error — it used to exit 2 like a typo.
@@ -75,13 +73,6 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
-	if *legacyFrag {
-		// Swap-and-restore, not a bare set: leaking the process-global
-		// knob past run() is the leak PR 6's Swap discipline exists to
-		// prevent.
-		defer ptx.SwapLegacyFragmentPath(true)()
-	}
-
 	cfg := gpu.TitanV()
 	if *sms > 0 {
 		cfg.NumSMs = *sms

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/ptx"
 )
 
 // The exit-code contract, pinned in-process: -h/-help is a successful
@@ -33,20 +31,6 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	if code := run([]string{"-sizes", "bogus"}, &bytes.Buffer{}); code != exitFailed {
 		t.Errorf("bad -sizes entry = %d, want %d", code, exitFailed)
-	}
-}
-
-// Regression: -legacyfrag must restore the process-global fragment
-// knob when run returns instead of leaking it across in-process
-// invocations. The bad -sizes entry exits after the knob is set but
-// before any simulation, keeping the test instant.
-func TestLegacyFragRestoredOnReturn(t *testing.T) {
-	t.Cleanup(ptx.SwapLegacyFragmentPath(false))
-	if code := run([]string{"-legacyfrag", "-sizes", "bogus"}, &bytes.Buffer{}); code != exitFailed {
-		t.Fatalf("run = %d, want %d", code, exitFailed)
-	}
-	if ptx.LegacyFragmentPathEnabled() {
-		t.Error("-legacyfrag leaked the fragment-path knob past run()")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package globalmut is the simlint globalmut fixture: package-level
-// writes in every sanctioned and flagged position, plus the processknob
-// directive's whole lifecycle (declared, set, swapped, backdoored,
-// unjustified, non-atomic).
+// writes in every allowed and flagged position, including the
+// process-global knob shapes (setter, Swap helper) that no longer have
+// an exemption.
 package globalmut
 
 import "sync/atomic"
@@ -26,11 +26,6 @@ func Mutate(n int) {
 	state++           // want "writes package-level state outside init"
 }
 
-// Sanctioned carries a justified suppression.
-func Sanctioned(n int) {
-	state = n //simlint:ok fixture: demonstrates the justified escape
-}
-
 // Local shadows and locals are not package-level state: allowed.
 func Local(n int) int {
 	state := n
@@ -39,48 +34,23 @@ func Local(n int) int {
 	return table[0]
 }
 
-// bareAtomic is a package-level atomic with no processknob directive.
-var bareAtomic atomic.Bool
+// knob is a package-level atomic.
+var knob atomic.Bool
 
-// FlipBare mutates an undeclared process global.
-func FlipBare(on bool) {
-	bareAtomic.Store(on) // want "package-level atomic with no //simlint:processknob directive"
+// Knob is the setter shape of a process-global knob.
+func Knob(on bool) {
+	knob.Store(on) // want "knob.Store mutates a package-level atomic outside init"
 }
 
-// legacyKnob is a declared process-global equivalence knob.
-//
-//simlint:processknob fixture knob mirroring ptx.legacyAccessPath; toggled only for equivalence tests
-var legacyKnob atomic.Bool
-
-// LegacyKnob is the CLI flag plumbing shape: allowed.
-func LegacyKnob(on bool) { legacyKnob.Store(on) }
-
-// SwapLegacyKnob is the test-safe set-and-restore helper: allowed.
-func SwapLegacyKnob(on bool) func() {
-	prev := legacyKnob.Swap(on)
-	return func() { legacyKnob.Store(prev) }
+// SwapKnob is the set-and-restore shape.
+func SwapKnob(on bool) func() {
+	prev := knob.Swap(on) // want "knob.Swap mutates a package-level atomic outside init"
+	return func() {
+		knob.Store(prev) // want "knob.Store mutates a package-level atomic outside init"
+	}
 }
 
-// Backdoor writes the knob outside the sanctioned shapes.
-func Backdoor() {
-	legacyKnob.Store(true) // want "may be written only by its exported setter or Swap helper"
-}
+// Receiver-owned atomics are not package-level state: allowed.
+type counter struct{ n atomic.Int64 }
 
-// lazyKnob's directive has no justification.
-//
-//simlint:processknob
-var lazyKnob atomic.Bool // want "needs a justification"
-
-// LazyKnob keeps lazyKnob referenced through its sanctioned setter.
-func LazyKnob(on bool) { lazyKnob.Store(on) }
-
-// plainKnob is declared as a knob but is not atomic-typed.
-//
-//simlint:processknob justified but mistyped
-var plainKnob bool // want "must be atomic-typed"
-
-// PlainKnob keeps plainKnob referenced; the write is an ordinary global
-// write because the mistyped declaration is rejected from the knob set.
-func PlainKnob(on bool) {
-	plainKnob = on // want "writes package-level plainKnob outside init"
-}
+func (c *counter) Bump() { c.n.Add(1) }

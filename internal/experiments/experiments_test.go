@@ -1,19 +1,34 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// updateTables rewrites the golden Quick-mode tables. The rendered
+// tables are the engine's end-to-end contract: a change that alters a
+// single cycle, hit rate or rounding anywhere in the model shows up as
+// a diff here. If the drift is intentional, regenerate with
+//
+//	go test ./internal/experiments -run TestAllExperimentsQuick -update
+//
+// and review the diff like any other golden file.
+var updateTables = flag.Bool("update", false, "rewrite testdata/quick_tables from the current simulator")
+
+const quickTablesDir = "testdata/quick_tables"
+
 // quickCache memoizes Quick-mode tables per test process: the artifacts
 // are deterministic, several tests assert different properties of the
 // same table, and the largest (fig17) takes seconds to simulate. The
 // fig17 grid in particular is simulated exactly once per process and
-// shared by TestAllExperimentsQuick, TestFig17Ordering and
-// TestDecodedMatchesInterpretedTables; TestParallelDeterminism and
-// TestRunAllDeterminism reuse the cache as their reference side too.
+// shared by TestAllExperimentsQuick and TestFig17Ordering;
+// TestParallelDeterminism and TestRunAllDeterminism reuse the cache as
+// their reference side too.
 var quickCache = struct {
 	sync.Mutex
 	m map[string]*Table
@@ -40,7 +55,8 @@ func runQuick(t *testing.T, id string) *Table {
 	return tb
 }
 
-// All experiments must run in Quick mode and produce well-formed tables.
+// All experiments must run in Quick mode, produce well-formed tables,
+// and render byte-identically to their golden files.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -60,10 +76,35 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Errorf("row %d has %d cells, want %d", i, len(r), len(tb.Columns))
 				}
 			}
-			if s := tb.String(); !strings.Contains(s, e.ID) {
+			s := tb.String()
+			if !strings.Contains(s, e.ID) {
 				t.Errorf("rendering lacks the table id")
 			}
+			checkGoldenTable(t, e.ID, s)
 		})
+	}
+}
+
+// checkGoldenTable compares a rendered Quick-mode table with its golden
+// file, or rewrites the file under -update.
+func checkGoldenTable(t *testing.T, id, got string) {
+	t.Helper()
+	path := filepath.Join(quickTablesDir, id+".txt")
+	if *updateTables {
+		if err := os.MkdirAll(quickTablesDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s (if intentional, regenerate with -update)\ngot:\n%s\nwant:\n%s", id, path, got, want)
 	}
 }
 

@@ -177,8 +177,8 @@ func (c Config) Validate() error {
 	}
 	if c.BarrierLatency < 1 {
 		// The schedulers re-arm released warps strictly after the release
-		// cycle; a zero-latency barrier would let the legacy scan issue a
-		// released warp within the releasing cycle itself.
+		// cycle; a zero-latency barrier would make a released warp
+		// issuable within the releasing cycle itself.
 		return fmt.Errorf("gpu: BarrierLatency must be ≥ 1")
 	}
 	if c.TensorCoresPerSubCore < 1 || c.TensorCoresPerSubCore > 2 {

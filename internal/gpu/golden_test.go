@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/ptx"
+	"repro/internal/tensor"
+	"repro/internal/wmma"
 )
 
 // The golden-stats regression fixture: a snapshot of quick-grid Stats
@@ -75,6 +77,60 @@ func goldenWorkloads(t *testing.T) []struct {
 		{"wmma-mixed-64x64x32", build(kernels.WMMAGemmShared(kernels.TensorMixed, 64, 64, 32))},
 		{"wmma-fp16-32x32x64", build(kernels.WMMAGemmShared(kernels.TensorFP16, 32, 32, 64))},
 		{"sgemm-simt-pressure-256x256x32", buildPressure(kernels.SGEMMSimt(256, 256, 32))},
+		{"fallback-wmma-ldst-48t", LaunchSpec{
+			Kernel: fallbackKernel(), Grid: ptx.D1(2), Block: ptx.D1(48),
+			Args:   []uint64{0, 64 << 10},
+			Global: sparseMemory{},
+		}},
+	}
+}
+
+// fallbackKernel drives the executor's automatic fallbacks through the
+// timing model: guarded ld/st that leave warp 1 of a 48-thread CTA
+// partially masked, the per-element wmma fragment loops that warp's 16
+// lanes take, and a C tile whose rows run past the end of the shared
+// window, so lanes disagree on the resolved space and the fragment
+// access stream degrades to per-lane Result.Accesses.
+func fallbackKernel() *ptx.Kernel {
+	const window = 1024
+	b := ptx.NewBuilder("fallback")
+	pa := b.Param("a", ptx.U64)
+	pd := b.Param("d", ptx.U64)
+	smem := b.Shared(window)
+	tid, p, off, addr, v := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.Mov(ptx.U32, tid, ptx.SR(ptx.SRegTidX))
+	b.MulWide(off, ptx.R(tid), ptx.Imm(4))
+	b.Add(ptx.U64, addr, ptx.R(off), ptx.R(pa))
+	b.Setp(ptx.U32, ptx.CmpLT, p, ptx.R(tid), ptx.Imm(40))
+	b.At(p, false).Ld(ptx.Global, 32, []ptx.Reg{v}, ptx.R(addr))
+	b.Add(ptx.U64, addr, ptx.R(off), ptx.Imm(smem))
+	b.At(p, false).St(ptx.Shared, 32, ptx.R(addr), []ptx.Operand{ptx.R(v)})
+	b.Bar()
+	cfg := mixedCfg()
+	fa := b.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, ptx.R(pa), ptx.Imm(16))
+	fb := b.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, ptx.R(pa), ptx.Imm(16))
+	fc := b.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType,
+		ptx.Imm(smem+window-512), ptx.Imm(16))
+	fd := b.WmmaMMA(cfg, fa, fb, fc)
+	b.WmmaStore(cfg.Arch, cfg.Shape, tensor.RowMajor, cfg.DType, ptx.R(pd), fd, ptx.Imm(16))
+	b.Exit()
+	return b.MustBuild()
+}
+
+// sparseMemory is a global memory that accepts any address, so the
+// fragment rows that resolve past the shared window (just above
+// ptx.SharedBase) execute; untouched bytes read as zero.
+type sparseMemory map[uint64]byte
+
+func (m sparseMemory) Read(addr uint64, buf []byte) {
+	for i := range buf {
+		buf[i] = m[addr+uint64(i)]
+	}
+}
+
+func (m sparseMemory) Write(addr uint64, data []byte) {
+	for i, v := range data {
+		m[addr+uint64(i)] = v
 	}
 }
 

@@ -1,34 +1,183 @@
 package gpu
 
 import (
-	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// The issue-order property harness: a pair of sub-cores — one event-mode
-// (incremental zero prefix + age list + masks), one scan-mode (per-cycle
-// rescan and sort) — driven through identical randomized sequences of
+// The issue-order property harness: an event-driven sub-core (wake heap,
+// ready and zero masks, age list, TwoLevel mask) and a scan-and-sort
+// reference sub-core, driven through identical randomized sequences of
 // issue / hazard-park / barrier / release / finish / CTA-retire / fresh
 // dispatch transitions, asserting after every step that the incremental
-// issue order equals the legacy scan order and that the mirrored warp
-// state has not drifted. This is the equivalence contract of DESIGN.md's
-// "O(1) issue selection" at the data-structure level, independent of the
-// full-simulation knob tests.
+// issue order equals the reference order and that the mirrored warp
+// state has not drifted. This is the contract of DESIGN.md's "O(1) issue
+// selection".
+
+// refWarp is the reference sub-core's view of one warp: only the
+// scheduling state the policies read.
+type refWarp struct {
+	state      warpState
+	stallUntil uint64
+	lastIssue  uint64
+	tlActive   bool
+}
+
+func (w *refWarp) issuable(now uint64) bool {
+	return w.state != warpFinished && w.state != warpAtBarrier && w.stallUntil <= now
+}
+
+// refSubcore is the specification issueOrder must reproduce. Every
+// cycle it rescans the pool for issuable warps and orders them straight
+// from each policy's definition: GTO by least recent issue, ties by
+// rotation distance from greedy+1 (greedy itself excluded — the driver
+// tries it first); LRR in rotation order from greedy+1; TwoLevel in
+// rotation order over its active subset, after promoting ready pending
+// warps into it.
+type refSubcore struct {
+	pol      SchedulerPolicy
+	warps    []*refWarp
+	greedy   int
+	tlCap    int
+	tlActive int
+}
+
+// ready returns the issuable slots in ascending order.
+func (r *refSubcore) ready(now uint64) []int {
+	var out []int
+	for i, w := range r.warps {
+		if w.issuable(now) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// rotated returns the ascending slots in rotation order from g+1: first
+// the slots above g, then the wrap-around tail.
+func rotated(g int, slots []int) []int {
+	var out []int
+	for _, s := range slots {
+		if s > g {
+			out = append(out, s)
+		}
+	}
+	for _, s := range slots {
+		if s <= g {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// order is the reference issue order at cycle now. Like issueOrder, the
+// TwoLevel branch updates the active subset as a side effect.
+func (r *refSubcore) order(now uint64) []int {
+	if r.greedy >= len(r.warps) {
+		r.greedy = 0
+	}
+	ready := r.ready(now)
+	switch r.pol {
+	case GTO:
+		n, g := len(r.warps), r.greedy
+		dist := func(s int) int { return (s - g - 1 + n) % n }
+		var out []int
+		for _, s := range ready {
+			if s != g {
+				out = append(out, s)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool {
+			li, lj := r.warps[out[i]].lastIssue, r.warps[out[j]].lastIssue
+			if li != lj {
+				return li < lj
+			}
+			return dist(out[i]) < dist(out[j])
+		})
+		return out
+	case LRR:
+		return rotated(r.greedy, ready)
+	}
+	anyActive := false
+	for _, s := range ready {
+		anyActive = anyActive || r.warps[s].tlActive
+	}
+	if !anyActive {
+		// The whole active subset is blocked: swap in ready pending
+		// warps one for one, demoting the lowest-slot non-issuable
+		// member while the subset is full.
+		for _, s := range ready {
+			if r.tlActive >= r.tlCap && !r.demoteOne(now) {
+				break
+			}
+			r.warps[s].tlActive = true
+			r.tlActive++
+		}
+	} else {
+		// Spare capacity: fill it from the ready pending warps.
+		for _, s := range ready {
+			if w := r.warps[s]; r.tlActive < r.tlCap && !w.tlActive {
+				w.tlActive = true
+				r.tlActive++
+			}
+		}
+	}
+	var out []int
+	for _, s := range rotated(r.greedy, ready) {
+		if r.warps[s].tlActive {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func (r *refSubcore) demoteOne(now uint64) bool {
+	for _, w := range r.warps {
+		if w.tlActive && !w.issuable(now) {
+			w.tlActive = false
+			r.tlActive--
+			return true
+		}
+	}
+	return false
+}
+
+// finish retires a warp, dropping it from the TwoLevel active subset.
+func (r *refSubcore) finish(w *refWarp) {
+	if w.tlActive {
+		w.tlActive = false
+		r.tlActive--
+	}
+	w.state = warpFinished
+}
+
+// removeFinished compacts the pool after a CTA retires.
+func (r *refSubcore) removeFinished() {
+	kept := r.warps[:0]
+	for _, w := range r.warps {
+		if w.state != warpFinished {
+			kept = append(kept, w)
+		}
+	}
+	r.warps = kept
+	if r.greedy >= len(r.warps) {
+		r.greedy = 0
+	}
+}
 
 type orderTwin struct {
-	ev  *subcore // event mode: the incremental structures under test
-	sc  *subcore // scan mode: the legacy oracle
+	ev  *subcore    // the incremental structures under test
+	ref *refSubcore // the scan-and-sort reference
 	now uint64
 }
 
 func newOrderTwin(pol SchedulerPolicy, nWarps int) *orderTwin {
 	tw := &orderTwin{
-		ev: &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
-		sc: &subcore{policy: policyFor(pol), scan: true, tlCap: defaultTwoLevelActive},
+		ev:  &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
+		ref: &refSubcore{pol: pol, tlCap: defaultTwoLevelActive},
 	}
 	tw.ev.reset()
-	tw.sc.reset()
 	for i := 0; i < nWarps; i++ {
 		tw.enqueue()
 	}
@@ -38,119 +187,111 @@ func newOrderTwin(pol SchedulerPolicy, nWarps int) *orderTwin {
 // enqueue dispatches one fresh Ready warp to both twins.
 func (tw *orderTwin) enqueue() {
 	tw.ev.enqueue(&simWarp{state: warpReady})
-	tw.sc.enqueue(&simWarp{state: warpReady})
+	tw.ref.warps = append(tw.ref.warps, &refWarp{state: warpReady})
 }
 
 // orders computes this cycle's issue order on both twins, mirroring the
 // stepSubcore driver: the event twin drains its wake heap first, the
-// scan twin rescans.
-func (tw *orderTwin) orders() (ev, legacy []int) {
+// reference rescans.
+func (tw *orderTwin) orders() (ev, ref []int) {
 	if len(tw.ev.warps) == 0 {
 		return nil, nil
 	}
 	if tw.ev.greedy >= len(tw.ev.warps) {
 		tw.ev.greedy = 0
 	}
-	if tw.sc.greedy >= len(tw.sc.warps) {
-		tw.sc.greedy = 0
-	}
 	tw.ev.drainWake(tw.now)
-	ev = tw.ev.policy.pickEvent(tw.ev, tw.now, nil)
-	wake := uint64(math.MaxUint64)
-	ready := tw.sc.scanReady(tw.now, &wake)
-	legacy = tw.sc.policy.pick(tw.sc, tw.now, ready, nil)
-	return ev, legacy
+	ev = tw.ev.policy.issueOrder(tw.ev, tw.now, nil)
+	return ev, tw.ref.order(tw.now)
 }
 
 // issue replays the tryWarp/issue flow for the warp in slot on both
-// twins: lastIssue, the proactive hazard park (or the legacy next-cycle
+// twins: lastIssue, the proactive hazard park (or the next-cycle
 // stallUntil), the policy's greedy update, and the incremental-order
 // update. hazardUntil ≤ now+1 means the next instruction has no pending
 // hazard.
 func (tw *orderTwin) issue(slot int, hazardUntil uint64) {
-	for _, sub := range []*subcore{tw.ev, tw.sc} {
-		w := sub.warps[slot]
-		w.lastIssue = tw.now
-		if hazardUntil > tw.now+1 {
-			sub.stall(w, hazardUntil)
-		} else if w.stallUntil <= tw.now {
-			w.stallUntil = tw.now + 1
-		}
-		sub.policy.issued(sub, slot)
-		if !sub.scan {
-			sub.noteIssued(w, tw.now)
-		}
+	w, r := tw.ev.warps[slot], tw.ref.warps[slot]
+	w.lastIssue, r.lastIssue = tw.now, tw.now
+	if hazardUntil > tw.now+1 {
+		tw.ev.stall(w, hazardUntil)
+		r.state, r.stallUntil = warpStalled, hazardUntil
+	} else if w.stallUntil <= tw.now {
+		w.stallUntil, r.stallUntil = tw.now+1, tw.now+1
 	}
+	tw.issued(slot)
+}
+
+// issued notes slot as this cycle's issuer on both twins.
+func (tw *orderTwin) issued(slot int) {
+	tw.ev.policy.issued(tw.ev, slot)
+	tw.ev.noteIssued(tw.ev.warps[slot], tw.now)
+	tw.ref.greedy = slot
 }
 
 // issueBarrier replays issuing a bar instruction: the warp parks at the
 // barrier but still updates lastIssue and the issue order.
 func (tw *orderTwin) issueBarrier(slot int) {
-	for _, sub := range []*subcore{tw.ev, tw.sc} {
-		w := sub.warps[slot]
-		w.lastIssue = tw.now
-		sub.toBarrier(w)
-		sub.policy.issued(sub, slot)
-		if !sub.scan {
-			sub.noteIssued(w, tw.now)
-		}
-	}
+	w, r := tw.ev.warps[slot], tw.ref.warps[slot]
+	w.lastIssue, r.lastIssue = tw.now, tw.now
+	tw.ev.toBarrier(w)
+	r.state = warpAtBarrier
+	tw.issued(slot)
 }
 
 // issueExit replays issuing an exit: finishWarp runs inside issue, then
 // the driver still notes the slot as this cycle's issuer.
 func (tw *orderTwin) issueExit(slot int) {
-	for _, sub := range []*subcore{tw.ev, tw.sc} {
-		w := sub.warps[slot]
-		w.lastIssue = tw.now
-		sub.finish(w)
-		sub.policy.issued(sub, slot)
-		if !sub.scan {
-			sub.noteIssued(w, tw.now)
-		}
-	}
+	w, r := tw.ev.warps[slot], tw.ref.warps[slot]
+	w.lastIssue, r.lastIssue = tw.now, tw.now
+	tw.finish(slot)
+	tw.issued(slot)
 }
 
 // finish replays the stream-exhaustion path (PeekD == nil): the warp
 // retires without issuing.
 func (tw *orderTwin) finish(slot int) {
 	tw.ev.finish(tw.ev.warps[slot])
-	tw.sc.finish(tw.sc.warps[slot])
+	tw.ref.finish(tw.ref.warps[slot])
 }
 
 // release re-arms a warp waiting at the barrier on both twins.
 func (tw *orderTwin) release(slot int, until uint64) {
 	tw.ev.release(tw.ev.warps[slot], until)
-	tw.sc.release(tw.sc.warps[slot], until)
+	r := tw.ref.warps[slot]
+	r.state, r.stallUntil = warpStalled, until
 }
 
 func (tw *orderTwin) removeFinished() {
 	tw.ev.removeFinished()
-	tw.sc.removeFinished()
+	tw.ref.removeFinished()
 }
 
 // check asserts the twins agree on issue order and on every warp's
 // scheduling state.
 func (tw *orderTwin) check(t *testing.T, step int) {
 	t.Helper()
-	ev, legacy := tw.orders()
-	if !intsEqual(ev, legacy) {
-		t.Fatalf("step %d cycle %d: incremental order %v != scan order %v", step, tw.now, ev, legacy)
+	ev, ref := tw.orders()
+	if !intsEqual(ev, ref) {
+		t.Fatalf("step %d cycle %d: incremental order %v != reference order %v", step, tw.now, ev, ref)
 	}
-	if tw.ev.greedy != tw.sc.greedy {
-		t.Fatalf("step %d: greedy drifted: event %d scan %d", step, tw.ev.greedy, tw.sc.greedy)
+	if tw.ev.greedy != tw.ref.greedy {
+		t.Fatalf("step %d: greedy drifted: event %d reference %d", step, tw.ev.greedy, tw.ref.greedy)
 	}
-	if len(tw.ev.warps) != len(tw.sc.warps) {
-		t.Fatalf("step %d: pool sizes drifted: %d vs %d", step, len(tw.ev.warps), len(tw.sc.warps))
+	if len(tw.ev.warps) != len(tw.ref.warps) {
+		t.Fatalf("step %d: pool sizes drifted: %d vs %d", step, len(tw.ev.warps), len(tw.ref.warps))
+	}
+	if tw.ev.tlActive != tw.ref.tlActive {
+		t.Fatalf("step %d: active-subset size drifted: event %d reference %d", step, tw.ev.tlActive, tw.ref.tlActive)
 	}
 	for i := range tw.ev.warps {
-		we, ws := tw.ev.warps[i], tw.sc.warps[i]
-		// Ready and Stalled normalize together: scan mode derives
+		we, wr := tw.ev.warps[i], tw.ref.warps[i]
+		// Ready and Stalled normalize together: the reference derives
 		// readiness from stallUntil and never flips the state back, while
 		// the event twin's drainWake does — issuable() is the shared truth.
-		if normState(we.state) != normState(ws.state) || we.stallUntil != ws.stallUntil ||
-			we.lastIssue != ws.lastIssue || we.tlActive != ws.tlActive {
-			t.Fatalf("step %d slot %d: warp state drifted: event %+v scan %+v", step, i, *we, *ws)
+		if normState(we.state) != normState(wr.state) || we.stallUntil != wr.stallUntil ||
+			we.lastIssue != wr.lastIssue || we.tlActive != wr.tlActive {
+			t.Fatalf("step %d slot %d: warp state drifted: event %+v reference %+v", step, i, *we, *wr)
 		}
 	}
 }
@@ -263,17 +404,18 @@ func TestIssueOrderEquivalence(t *testing.T) {
 }
 
 // TestIssueOrderCycleZeroTie pins the subtlety the zero prefix encodes:
-// a warp that issues at cycle 0 keeps lastIssue == 0, so the legacy GTO
-// comparator cannot distinguish it from never-issued warps — it must
-// stay in the rotation-ordered zero group, not join the age list.
+// a warp that issues at cycle 0 keeps lastIssue == 0, so GTO's
+// least-recently-issued order cannot distinguish it from never-issued
+// warps — it must stay in the rotation-ordered zero group, not join the
+// age list.
 func TestIssueOrderCycleZeroTie(t *testing.T) {
 	tw := newOrderTwin(GTO, 4)
 	tw.issue(2, 1) // issues at cycle 0; lastIssue stays 0
 	tw.now = 1
-	ev, legacy := tw.orders()
+	ev, ref := tw.orders()
 	want := []int{3, 0, 1} // rotation from greedy+1, greedy (2) excluded
-	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
-		t.Fatalf("after cycle-0 issue: event %v scan %v, want %v", ev, legacy, want)
+	if !intsEqual(ev, want) || !intsEqual(ref, want) {
+		t.Fatalf("after cycle-0 issue: event %v reference %v, want %v", ev, ref, want)
 	}
 	if tw.ev.warps[2].inAge {
 		t.Fatal("cycle-0 issuer must stay in the zero prefix, not the age list")
@@ -292,11 +434,11 @@ func TestIssueOrderReissueAndCompaction(t *testing.T) {
 	tw.now = 4
 	tw.issue(1, 5) // re-issue: 1 moves behind 3 in age order
 	tw.now = 6
-	ev, legacy := tw.orders()
+	ev, ref := tw.orders()
 	// greedy is 1; zero group {0,2,4} rotated from slot 2, then ages 3, (1 excluded).
 	want := []int{2, 4, 0, 3}
-	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
-		t.Fatalf("after re-issue: event %v scan %v, want %v", ev, legacy, want)
+	if !intsEqual(ev, want) || !intsEqual(ref, want) {
+		t.Fatalf("after re-issue: event %v reference %v, want %v", ev, ref, want)
 	}
 	tw.issueExit(3)
 	tw.removeFinished() // slot 4 renumbers to 3

@@ -3,37 +3,13 @@ package gpu
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
-// The warp-scheduling core: a per-sub-core driver that derives the issue
-// candidates either from the event-driven ready set (the default) or from
-// the legacy full scan (the ScanScheduler knob), orders them through a
-// pluggable schedPolicy, and attempts them until one issues. Both paths
-// feed the policies identical candidate sets, so they produce
-// bit-identical Stats — asserted by the equivalence tests.
-
-// scanScheduler, when set, makes subsequently constructed Simulators
-// rebuild the scheduler's candidate set by scanning every warp each cycle
-// instead of consulting the incrementally maintained ready set. It exists
-// so tests can assert the event-driven bookkeeping is timing-preserving
-// (mirroring ptx.InterpretALU); production code never sets it.
-//
-//simlint:processknob equivalence knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
-var scanScheduler atomic.Bool
-
-// ScanScheduler switches Simulators constructed afterwards between the
-// event-driven ready-set scheduler (the default) and the legacy per-cycle
-// full scan. Tests use it to assert both produce identical Stats.
-func ScanScheduler(on bool) { scanScheduler.Store(on) }
-
-// SwapScanScheduler sets the knob and returns the restore that puts the
-// previous value back; the only sanctioned test shape
-// (defer gpu.SwapScanScheduler(true)() or t.Cleanup).
-func SwapScanScheduler(on bool) (restore func()) {
-	prev := scanScheduler.Swap(on)
-	return func() { scanScheduler.Store(prev) }
-}
+// The warp-scheduling core: a per-sub-core driver that reads the issue
+// candidates off the event-driven ready set, orders them through a
+// pluggable schedPolicy, and attempts them until one issues. The
+// test-side scan-and-sort reference sub-core in order_test.go checks the
+// incremental order against a per-cycle rescan.
 
 // schedPolicy orders a sub-core's ready warps for issue. Policies are
 // stateless singletons; their per-sub-core state (rotation anchor, active
@@ -44,16 +20,13 @@ type schedPolicy interface {
 	// preference). GTO's greedy warp issues back to back in the common
 	// case, so this keeps the scheduler O(1) on those cycles.
 	preferred(sc *subcore) int
-	// pick appends the ready slots to buf in issue-priority order — the
-	// legacy scan-mode path. ready holds the candidate slots in ascending
-	// order; the driver attempts buf in order until one warp issues. The
-	// preferred slot may be included — the driver skips it if already
-	// attempted.
-	pick(sc *subcore, now uint64, ready, buf []int) []int
-	// pickEvent is pick's event-mode twin: it derives the same order
-	// straight from the sub-core's incrementally maintained structures
-	// (readyMask, zeroMask, the age list, tlMask) with no per-cycle sort.
-	pickEvent(sc *subcore, now uint64, buf []int) []int
+	// issueOrder appends the ready slots to buf in issue-priority order,
+	// derived straight from the sub-core's incrementally maintained
+	// structures (readyMask, zeroMask, the age list, tlMask) with no
+	// per-cycle sort. The driver attempts buf in order until one warp
+	// issues; the preferred slot may be included — the driver skips it
+	// if already attempted.
+	issueOrder(sc *subcore, now uint64, buf []int) []int
 	// issued notes that the warp in slot won this cycle's issue.
 	issued(sc *subcore, slot int)
 	// retired notes that w left the sub-core's pool.
@@ -88,37 +61,14 @@ type gtoPolicy struct{}
 
 func (gtoPolicy) preferred(sc *subcore) int { return sc.greedy }
 
-// pick is the legacy scan-mode order: the pre-refactor selection sort
-// over per-pair gtoLess compares, preserving the legacy scheduler's cost
-// profile for the knob's oracle role.
-func (gtoPolicy) pick(sc *subcore, _ uint64, ready, buf []int) []int {
-	g := sc.greedy
-	n := len(sc.warps)
-	for _, idx := range ready {
-		if idx != g {
-			buf = append(buf, idx)
-		}
-	}
-	for i := range buf {
-		best := i
-		for j := i + 1; j < len(buf); j++ {
-			if gtoLess(sc, buf[j], buf[best], g, n) {
-				best = j
-			}
-		}
-		buf[i], buf[best] = buf[best], buf[i]
-	}
-	return buf
-}
-
-// pickEvent reads the (lastIssue, rotDist) order off the incremental
-// structures with no per-cycle sort: the lastIssue == 0 group is the
-// zero-prefix in rotation order from greedy+1 (exactly the legacy
-// comparator's tie-break when every key is zero), and the lastIssue ≥ 1
+// issueOrder reads the (lastIssue, rotation distance) order off the
+// incremental structures with no per-cycle sort: the lastIssue == 0
+// group is the zero-prefix in rotation order from greedy+1 (the
+// rotation tie-break when every key is zero), and the lastIssue ≥ 1
 // group is the age list, strictly ascending by construction.
 //
 //simlint:hotpath
-func (gtoPolicy) pickEvent(sc *subcore, _ uint64, buf []int) []int {
+func (gtoPolicy) issueOrder(sc *subcore, _ uint64, buf []int) []int {
 	g := sc.greedy
 	buf = appendRotatedMask(sc.andMask(sc.zeroMask, sc.readyMask), g, g, buf)
 	for w := sc.ageHead; w != nil; w = w.ageNext {
@@ -127,24 +77,6 @@ func (gtoPolicy) pickEvent(sc *subcore, _ uint64, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// gtoLess orders slots a before b: least recently issued first, ties by
-// rotation distance from the slot after greedy.
-func gtoLess(sc *subcore, a, b, greedy, n int) bool {
-	la, lb := sc.warps[a].lastIssue, sc.warps[b].lastIssue
-	if la != lb {
-		return la < lb
-	}
-	return rotDist(a, greedy, n) < rotDist(b, greedy, n)
-}
-
-// rotDist is the distance of slot from greedy+1, wrapping at n.
-func rotDist(slot, greedy, n int) int {
-	if slot > greedy {
-		return slot - greedy - 1
-	}
-	return slot + n - greedy - 1
 }
 
 func (gtoPolicy) issued(sc *subcore, slot int) { sc.greedy = slot }
@@ -156,29 +88,9 @@ type lrrPolicy struct{}
 
 func (lrrPolicy) preferred(*subcore) int { return -1 }
 
-func (lrrPolicy) pick(sc *subcore, _ uint64, ready, buf []int) []int {
-	return appendRotated(sc.greedy, ready, buf)
-}
-
 //simlint:hotpath
-func (lrrPolicy) pickEvent(sc *subcore, _ uint64, buf []int) []int {
+func (lrrPolicy) issueOrder(sc *subcore, _ uint64, buf []int) []int {
 	return appendRotatedMask(sc.readyMask, sc.greedy, -1, buf)
-}
-
-// appendRotated emits the ascending slots in rotation order from g+1:
-// first the slots above g, then the wrap-around tail.
-func appendRotated(g int, ready, buf []int) []int {
-	for _, idx := range ready {
-		if idx > g {
-			buf = append(buf, idx)
-		}
-	}
-	for _, idx := range ready {
-		if idx <= g {
-			buf = append(buf, idx)
-		}
-	}
-	return buf
 }
 
 func (lrrPolicy) issued(sc *subcore, slot int) { sc.greedy = slot }
@@ -195,60 +107,17 @@ type twoLevelPolicy struct{}
 
 func (twoLevelPolicy) preferred(*subcore) int { return -1 }
 
-func (twoLevelPolicy) pick(sc *subcore, now uint64, ready, buf []int) []int {
-	anyActive := false
-	for _, idx := range ready {
-		if sc.warps[idx].tlActive {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
-		// The whole active subset is blocked: swap in ready pending warps
-		// one for one. Every current member is non-issuable here, so
-		// demotion always finds a victim while the subset is full.
-		for _, idx := range ready {
-			if sc.tlActive >= sc.tlCap && !sc.demoteOne(now) {
-				break
-			}
-			sc.warps[idx].tlActive = true
-			sc.tlActive++
-		}
-	} else if sc.tlActive < sc.tlCap {
-		// Spare capacity: fill it from the ready pending warps.
-		for _, idx := range ready {
-			if sc.tlActive >= sc.tlCap {
-				break
-			}
-			if w := sc.warps[idx]; !w.tlActive {
-				w.tlActive = true
-				sc.tlActive++
-			}
-		}
-	}
-	start := len(buf)
-	buf = appendRotated(sc.greedy, ready, buf)
-	// Keep only active warps, preserving rotation order.
-	out := buf[:start]
-	for _, idx := range buf[start:] {
-		if sc.warps[idx].tlActive {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-// pickEvent mirrors pick on the mask structures: promotion decisions
-// come from readyMask ∧/∧^ tlMask intersections instead of scanning the
-// ready list, and the final order is one rotated-mask enumeration.
+// issueOrder promotes and orders on the mask structures: promotion
+// decisions come from readyMask ∧/∧^ tlMask intersections, and the final
+// order is one rotated-mask enumeration of the ready active subset.
 //
 //simlint:hotpath
-func (twoLevelPolicy) pickEvent(sc *subcore, now uint64, buf []int) []int {
+func (twoLevelPolicy) issueOrder(sc *subcore, now uint64, buf []int) []int {
 	if !maskIntersects(sc.readyMask, sc.tlMask) {
 		// The whole active subset is blocked: swap in ready pending warps
-		// one for one, ascending — the legacy loop's order. Every current
-		// member is non-issuable here, so demotion always finds a victim
-		// while the subset is full.
+		// one for one, ascending. Every current member is non-issuable
+		// here, so demotion always finds a victim while the subset is
+		// full.
 	promote:
 		for wi, word := range sc.readyMask {
 			for ; word != 0; word &= word - 1 {
@@ -285,9 +154,7 @@ func (sc *subcore) demoteOne(now uint64) bool {
 	for _, w := range sc.warps {
 		if w.tlActive && !w.issuable(now) {
 			w.tlActive = false
-			if !sc.scan {
-				sc.clearTL(w.slot)
-			}
+			sc.clearTL(w.slot)
 			sc.tlActive--
 			return true
 		}
@@ -300,9 +167,7 @@ func (twoLevelPolicy) issued(sc *subcore, slot int) { sc.greedy = slot }
 func (twoLevelPolicy) retired(sc *subcore, w *simWarp) {
 	if w.tlActive {
 		w.tlActive = false
-		if !sc.scan {
-			sc.clearTL(w.slot)
-		}
+		sc.clearTL(w.slot)
 		sc.tlActive--
 	}
 }
@@ -320,9 +185,7 @@ func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake 
 	if sc.greedy >= len(sc.warps) {
 		sc.greedy = 0
 	}
-	if !sc.scan {
-		sc.drainWake(now)
-	}
+	sc.drainWake(now)
 	// Sticky fast path: attempt the policy's preferred warp before paying
 	// for the candidate set (tryWarp self-screens, so a blocked preferred
 	// warp only contributes its wake cycle).
@@ -337,19 +200,10 @@ func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake 
 		}
 		tried = p
 	}
-	var order []int
-	if sc.scan {
-		ready := sc.scanReady(now, &wake)
-		if len(ready) == 0 {
-			return false, wake, nil
-		}
-		order = sc.policy.pick(sc, now, ready, sc.orderBuf[:0])
-	} else {
-		if top := sc.heapTop(); top < wake {
-			wake = top
-		}
-		order = sc.policy.pickEvent(sc, now, sc.orderBuf[:0])
+	if top := sc.heapTop(); top < wake {
+		wake = top
 	}
+	order := sc.policy.issueOrder(sc, now, sc.orderBuf[:0])
 	sc.orderBuf = order[:0]
 	for _, idx := range order {
 		if idx == tried {
@@ -364,30 +218,6 @@ func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake 
 		}
 	}
 	return false, wake, nil
-}
-
-// scanReady rebuilds the candidate set by scanning every warp — the
-// legacy pre-ready-set path kept behind the ScanScheduler knob. The stall
-// screen is shared by every policy (LRR used to rebuild the full
-// candidate order unconditionally); warps still stalled contribute their
-// wake cycle so the idle fast-forward matches the event-driven path.
-//
-//simlint:hotpath
-func (sc *subcore) scanReady(now uint64, wake *uint64) []int {
-	buf := sc.readyBuf[:0]
-	for idx, w := range sc.warps {
-		switch {
-		case w.state == warpFinished || w.state == warpAtBarrier:
-		case w.stallUntil > now:
-			if w.stallUntil < *wake {
-				*wake = w.stallUntil
-			}
-		default:
-			buf = append(buf, idx)
-		}
-	}
-	sc.readyBuf = buf
-	return buf
 }
 
 // tryWarp attempts to issue the warp in the given slot. outcome is one
@@ -427,8 +257,6 @@ func (m *sm) tryWarp(sc *subcore, idx int, now uint64, st *Stats) (issued bool, 
 		return false, wake, err
 	}
 	sc.policy.issued(sc, idx)
-	if !sc.scan {
-		sc.noteIssued(w, now)
-	}
+	sc.noteIssued(w, now)
 	return true, wake, nil
 }

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"encoding/binary"
-	"reflect"
 	"testing"
 
 	"repro/internal/ptx"
@@ -27,88 +26,6 @@ func divergentBarrierKernel() *ptx.Kernel {
 	b.Label("skip")
 	b.Exit()
 	return b.MustBuild()
-}
-
-// schedCases are the launches the equivalence tests drive: a multi-CTA
-// SIMT kernel, a barrier-heavy staged copy (multiple warps per sub-core,
-// exercising pendingWake), a tensor-unit loop, and the early-finish
-// divergent barrier kernel.
-func schedCases() map[string]func() LaunchSpec {
-	return map[string]func() LaunchSpec{
-		"vecadd": func() LaunchSpec {
-			return LaunchSpec{
-				Kernel: vecAddKernel(),
-				Grid:   ptx.D1(8),
-				Block:  ptx.D1(128),
-				Args:   []uint64{0, 4 * 1024, 8 * 1024},
-				Global: ptx.NewFlatMemory(3 * 4 * 1024),
-			}
-		},
-		"staged-barrier": func() LaunchSpec {
-			return LaunchSpec{
-				Kernel: stagedKernel(),
-				Grid:   ptx.D1(2),
-				Block:  ptx.D1(256),
-				Args:   []uint64{0, 4 * 256},
-				Global: ptx.NewFlatMemory(2 * 4 * 256),
-			}
-		},
-		"mma-loop": func() LaunchSpec {
-			return LaunchSpec{
-				Kernel: mmaLoopKernel(8),
-				Grid:   ptx.D1(1),
-				Block:  ptx.D1(32 * 6),
-				Args:   []uint64{0},
-				Global: ptx.NewFlatMemory(4096),
-			}
-		},
-		"finish-at-barrier": func() LaunchSpec {
-			return LaunchSpec{
-				Kernel: divergentBarrierKernel(),
-				Grid:   ptx.D1(2),
-				Block:  ptx.D1(128),
-				Args:   []uint64{0},
-				Global: ptx.NewFlatMemory(4 * 128),
-			}
-		},
-	}
-}
-
-func runScheduled(t *testing.T, pol SchedulerPolicy, scan bool, spec LaunchSpec) *Stats {
-	t.Helper()
-	defer SwapScanScheduler(scan)()
-	cfg := TitanV()
-	cfg.NumSMs = 2
-	cfg.Scheduler = pol
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sim.Run(spec)
-	if err != nil {
-		t.Fatalf("%v scan=%v: %v", pol, scan, err)
-	}
-	return st
-}
-
-// The event-driven ready-set scheduler must be invisible to the timing
-// model: for every policy and workload, Stats must be bit-identical to
-// the legacy full-scan path kept behind the ScanScheduler knob.
-func TestEventSchedulerMatchesScan(t *testing.T) {
-	for name, build := range schedCases() {
-		t.Run(name, func(t *testing.T) {
-			for _, pol := range Schedulers() {
-				event := runScheduled(t, pol, false, build())
-				scan := runScheduled(t, pol, true, build())
-				if !reflect.DeepEqual(event, scan) {
-					t.Errorf("%v: stats diverge\nevent: %+v\nscan:  %+v", pol, event, scan)
-				}
-				if event.WarpInstructions == 0 || event.Cycles == 0 {
-					t.Errorf("%v: degenerate run %+v", pol, event)
-				}
-			}
-		})
-	}
 }
 
 // A barrier released while the releasing sub-core's own scan is in

@@ -93,15 +93,13 @@ type Simulator struct {
 	cycle uint64
 }
 
-// New builds a simulator for the configuration. The ScanScheduler debug
-// knob is sampled here, like ptx.InterpretALU at decode time.
+// New builds a simulator for the configuration.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem)}
 	pol := policyFor(cfg.Scheduler)
-	scan := scanScheduler.Load()
 	tlCap := cfg.TwoLevelActive
 	if tlCap <= 0 {
 		tlCap = defaultTwoLevelActive
@@ -110,7 +108,7 @@ func New(cfg Config) (*Simulator, error) {
 		m := &sm{id: i, sim: s, port: s.sys.NewSMPort()}
 		m.subcores = make([]*subcore, cfg.SubCores)
 		for j := range m.subcores {
-			m.subcores[j] = &subcore{policy: pol, scan: scan, tlCap: tlCap}
+			m.subcores[j] = &subcore{policy: pol, tlCap: tlCap}
 		}
 		s.sms = append(s.sms, m)
 	}
@@ -135,8 +133,8 @@ type sm struct {
 	// SM issues or receives a new CTA.
 	nextWake uint64
 	// Reusable per-instruction request buffers for accessMemory: the
-	// batched vector groups (default) and the per-lane request slices of
-	// the legacy access path.
+	// batched vector groups and the per-lane request slices of the wmma
+	// fragment fallback.
 	sharedVecs []mem.AddrVec
 	globalVecs []mem.AddrVec
 	sharedReqs []mem.Request
@@ -473,9 +471,7 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	// cycle computed right here is exact. When it is beyond the next
 	// cycle, park the warp on the wake heap now — it never re-enters the
 	// ready set, so the scheduler stops re-screening a warp whose stall
-	// outcome is already known. Runs in both knob modes (scan mode reads
-	// the same stallUntil through its per-cycle screen) so the policies
-	// keep seeing identical candidate sets.
+	// outcome is already known.
 	if next := w.warp.PeekD(); next != nil {
 		if at := w.hazardClear(next); at > now+1 {
 			sc.stall(w, at)
@@ -495,7 +491,9 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 // accessMemory routes an instruction's accesses through the SM port. The
 // batched path hands the executor's address vectors to the memory system
 // directly (mem.AddrVec aliases each group's address array — no per-lane
-// copy); the legacy path re-materializes per-lane request slices.
+// copy). A wmma.load/store whose lanes disagree on fragment structure or
+// state space reports per-lane Accesses instead, which become per-lane
+// request slices.
 func (m *sm) accessMemory(res *ptx.Result, now uint64) uint64 {
 	if len(res.Batch) > 0 {
 		shared, global := m.sharedVecs[:0], m.globalVecs[:0]

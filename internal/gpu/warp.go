@@ -18,8 +18,8 @@ import (
 // On top of the ready set, the sub-core maintains the *issue order*
 // incrementally, so no policy re-sorts candidates per cycle:
 //   - zeroMask marks the warps whose lastIssue is still zero (never
-//     issued, or issued only at cycle 0 — the legacy GTO comparator
-//     cannot tell those apart, so neither does the mask). They are
+//     issued, or issued only at cycle 0 — GTO's least-recently-issued
+//     order cannot tell those apart, so neither does the mask). They are
 //     ordered by enumeration in rotation order from the greedy slot.
 //   - the age list (ageHead/ageTail, intrusive in simWarp) chains the
 //     warps with lastIssue ≥ 1 in strictly ascending lastIssue — strict
@@ -27,9 +27,9 @@ import (
 //     tail-append at issue time keeps the list sorted with no
 //     comparisons. Issue, finish and re-issue are all O(1) list splices.
 //   - tlMask mirrors the TwoLevel active subset as a bitmask so its
-//     pick is mask intersection instead of list filtering.
+//     issue order is a mask intersection instead of list filtering.
 //
-// Invariants (event mode, i.e. sc.scan == false):
+// Invariants:
 //   - a warp's state is warpReady  ⇔ its slot bit is set in readyMask
 //   - a warp's state is warpStalled ⇔ it has exactly one wakeHeap entry,
 //     keyed by its current stallUntil (stallUntil never changes while
@@ -37,11 +37,6 @@ import (
 //   - warpAtBarrier / warpFinished warps appear in neither structure
 //   - a live warp is in zeroMask ⇔ its lastIssue == 0, and in the age
 //     list ⇔ its lastIssue ≥ 1; the age list ascends strictly.
-//
-// Under the legacy ScanScheduler knob the same state transitions run but
-// none of the masks, the heap or the age list are maintained; readiness
-// and order are rederived each cycle by scanning and sorting (see
-// scanReady and the policies' pick methods in sched.go).
 
 // warpState is the scheduling lifecycle state of a simWarp.
 type warpState uint8
@@ -77,8 +72,8 @@ type simWarp struct {
 	lastIssue  uint64
 	// tlActive marks membership in the TwoLevel policy's active subset.
 	tlActive bool
-	// Intrusive age-list links (event mode): the sub-core chains warps
-	// with lastIssue ≥ 1 in ascending issue age. Pointers survive slot
+	// Intrusive age-list links: the sub-core chains warps with
+	// lastIssue ≥ 1 in ascending issue age. Pointers survive slot
 	// compaction, which only renumbers w.slot.
 	agePrev, ageNext *simWarp
 	inAge            bool
@@ -98,9 +93,6 @@ type subcore struct {
 	pendingWake uint64
 
 	policy schedPolicy
-	// scan selects the legacy full-scan path (the ScanScheduler knob);
-	// the ready mask and wake heap are not maintained when set.
-	scan bool
 	// tlCap is the TwoLevel active-subset size; tlActive its population.
 	tlCap    int
 	tlActive int
@@ -110,11 +102,10 @@ type subcore struct {
 	tlMask    []uint64    // bit per warp slot: in the TwoLevel active subset
 	wakeHeap  []wakeEntry // min-heap over Stalled warps' stallUntil
 	// ageHead/ageTail chain the warps with lastIssue ≥ 1, oldest issue
-	// first (event mode only).
+	// first.
 	ageHead, ageTail *simWarp
-	readyBuf         []int    // scratch: scan-mode ready slots, ascending
 	orderBuf         []int    // scratch: policy issue order
-	maskBuf          []uint64 // scratch: pickEvent mask intersections
+	maskBuf          []uint64 // scratch: issueOrder mask intersections
 }
 
 // wakeEntry parks one Stalled warp in the sub-core's wake min-heap.
@@ -163,14 +154,14 @@ func (sc *subcore) enqueue(w *simWarp) {
 		sc.zeroMask = append(sc.zeroMask, 0)
 		sc.tlMask = append(sc.tlMask, 0)
 	}
-	if w.state == warpReady && !sc.scan {
+	if w.state == warpReady {
 		sc.setBit(w.slot)
 		sc.setZero(w.slot) // a fresh warp has lastIssue == 0
 	}
 }
 
-// setReady wakes a Stalled warp whose stallUntil expired (event mode
-// only; the warp was just popped off the wake heap).
+// setReady wakes a Stalled warp whose stallUntil expired (the warp was
+// just popped off the wake heap).
 func (sc *subcore) setReady(w *simWarp) {
 	w.state = warpReady
 	sc.setBit(w.slot)
@@ -180,18 +171,14 @@ func (sc *subcore) setReady(w *simWarp) {
 func (sc *subcore) stall(w *simWarp, until uint64) {
 	w.stallUntil = until
 	w.state = warpStalled
-	if !sc.scan {
-		sc.clearBit(w.slot)
-		sc.heapPush(until, w)
-	}
+	sc.clearBit(w.slot)
+	sc.heapPush(until, w)
 }
 
 // toBarrier parks a Ready warp at its CTA barrier.
 func (sc *subcore) toBarrier(w *simWarp) {
 	w.state = warpAtBarrier
-	if !sc.scan {
-		sc.clearBit(w.slot)
-	}
+	sc.clearBit(w.slot)
 }
 
 // release re-arms a warp waiting at a barrier: AtBarrier → Stalled until
@@ -199,20 +186,16 @@ func (sc *subcore) toBarrier(w *simWarp) {
 func (sc *subcore) release(w *simWarp, until uint64) {
 	w.stallUntil = until
 	w.state = warpStalled
-	if !sc.scan {
-		sc.heapPush(until, w)
-	}
+	sc.heapPush(until, w)
 }
 
 // finish retires a Ready warp (exit, or no instructions left).
 func (sc *subcore) finish(w *simWarp) {
 	sc.policy.retired(sc, w)
 	w.state = warpFinished
-	if !sc.scan {
-		sc.clearBit(w.slot)
-		sc.clearZero(w.slot)
-		sc.ageRemove(w)
-	}
+	sc.clearBit(w.slot)
+	sc.clearZero(w.slot)
+	sc.ageRemove(w)
 }
 
 // ageAppend links the warp at the age-list tail. The caller just issued
@@ -257,8 +240,8 @@ func (sc *subcore) ageRemove(w *simWarp) {
 // now. Exit-class instructions retire the warp inside issue() — its
 // order entry was already dropped by finish, so it is skipped here.
 // A cycle-0 issue leaves lastIssue at zero, indistinguishable from
-// never-issued under the legacy GTO comparator, so the warp stays in
-// the zero prefix rather than joining the age list.
+// never-issued in GTO's least-recently-issued order, so the warp stays
+// in the zero prefix rather than joining the age list.
 //
 //simlint:hotpath
 func (sc *subcore) noteIssued(w *simWarp, now uint64) {
@@ -356,7 +339,7 @@ func maskIntersects(a, b []uint64) bool {
 
 // appendRotatedMask appends the mask's set slots in rotation order from
 // g+1 (the slots above g, then the wrap-around from 0 back to g),
-// excluding skip (-1 for none) — the bitmask twin of appendRotated.
+// excluding skip (-1 for none).
 //
 //simlint:hotpath
 func appendRotatedMask(mask []uint64, g, skip int, buf []int) []int {
@@ -410,9 +393,6 @@ func (sc *subcore) removeFinished() {
 	if sc.greedy >= len(sc.warps) {
 		sc.greedy = 0
 	}
-	if sc.scan {
-		return
-	}
 	for i := range sc.readyMask {
 		sc.readyMask[i] = 0
 		sc.zeroMask[i] = 0
@@ -432,10 +412,7 @@ func (sc *subcore) removeFinished() {
 }
 
 // issuable reports whether the warp can be offered to the scheduler at
-// the given cycle. It is mode-independent: it derives readiness from the
-// state and stallUntil rather than the (event-mode-only) ready mask, so
-// policy decisions based on it are identical under both the event-driven
-// and the legacy scan paths.
+// the given cycle: not finished, not at a barrier, and past stallUntil.
 func (w *simWarp) issuable(now uint64) bool {
 	return w.state != warpFinished && w.state != warpAtBarrier && w.stallUntil <= now
 }

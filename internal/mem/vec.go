@@ -10,11 +10,11 @@ package mem
 // arithmetic fast path (uniform, unit-stride) or a hash/sorted-run dedup
 // that stays O(sectors) even for fully scattered warps.
 //
-// Equivalence contract (asserted by FuzzVecMatchesReference and the
-// ptx/gpu-level LegacyAccessPath tests): for any address vector, mask and
-// geometry, CoalesceVecs returns exactly the sector list Coalesce returns
-// for the lane-major expansion of the vectors, and SharedConflictPassesVecs
-// returns exactly SharedConflictPasses' pass count.
+// Equivalence contract (asserted by FuzzVecMatchesReference): for any
+// address vector, mask and geometry, CoalesceVecs returns exactly the
+// sector list Coalesce returns for the lane-major expansion of the
+// vectors, and SharedConflictPassesVecs returns exactly
+// SharedConflictPasses' pass count.
 
 // AddrVec is the struct-of-arrays form of one warp access group: 32 lane
 // addresses (stale in unmasked lanes), an active-lane bitmask and the

@@ -1,17 +1,14 @@
 package ptx
 
-import (
-	"encoding/binary"
-	"sync/atomic"
-)
+import "encoding/binary"
 
-// The batched warp access path. The legacy executor reports one Access
-// struct per lane per instruction and reads or writes memory one lane at
-// a time; for a 32-lane warp that is 32 struct appends, 32 generic-space
-// resolutions and up to 32 Memory interface calls per load or store —
-// the dominant cost of memory-bound SIMT kernels once ALU dispatch and
-// scheduling are decoded (the fig17 profile). The batched path instead
-// generates all 32 lane addresses in one pass into a WarpAccess — a
+// The batched warp access path. A per-lane executor would report one
+// Access struct per lane per instruction and read or write memory one
+// lane at a time; for a 32-lane warp that is 32 struct appends, 32
+// generic-space resolutions and up to 32 Memory interface calls per load
+// or store — the dominant cost of memory-bound SIMT kernels once ALU
+// dispatch and scheduling are decoded (the fig17 profile). The batched
+// path instead generates all 32 lane addresses in one pass into a WarpAccess — a
 // struct-of-arrays vector with an active-lane bitmask and the shared
 // width/space/store attributes — resolves the state space once per
 // instruction, and moves contiguous data in bulk: a warp whose lanes
@@ -35,32 +32,6 @@ type WarpAccess struct {
 	Store bool
 }
 
-// legacyAccessPath, when set, routes warps constructed afterwards
-// through the per-lane Access path instead of the batched WarpAccess
-// path. It exists so tests can assert the batched path is
-// semantics-preserving (bit-identical Stats and experiment tables) and
-// so the ablation benchmark can quantify the difference; production
-// code never sets it.
-//
-//simlint:processknob equivalence/ablation knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
-var legacyAccessPath atomic.Bool
-
-// LegacyAccessPath switches subsequently constructed warps between the
-// batched struct-of-arrays access path (the default) and the per-lane
-// legacy path, mirroring InterpretALU and gpu.ScanScheduler.
-func LegacyAccessPath(on bool) { legacyAccessPath.Store(on) }
-
-// SwapLegacyAccessPath sets the knob and returns the restore that puts
-// the previous value back. Tests must use this shape — registered with
-// defer or t.Cleanup — so a process-global knob can never leak across
-// parallel tests:
-//
-//	defer ptx.SwapLegacyAccessPath(true)()
-func SwapLegacyAccessPath(on bool) (restore func()) {
-	prev := legacyAccessPath.Swap(on)
-	return func() { legacyAccessPath.Store(prev) }
-}
-
 // appendBatchSlot extends the batch by one group without zeroing the
 // (mask-guarded, stale) lane addresses of a recycled backing array.
 func appendBatchSlot(b []WarpAccess) ([]WarpAccess, *WarpAccess) {
@@ -73,10 +44,9 @@ func appendBatchSlot(b []WarpAccess) ([]WarpAccess, *WarpAccess) {
 }
 
 // LaneAccesses returns the instruction's memory accesses in per-lane
-// form: Result.Accesses when the legacy path produced them, otherwise
-// the lane-major expansion of the batched groups — the exact order the
-// legacy path would have emitted. Tests and tools use it; the timing
-// model consumes the batch directly.
+// form: Result.Accesses when the wmma fragment fallback produced them,
+// otherwise the lane-major expansion of the batched groups. Tests and
+// tools use it; the timing model consumes the batch directly.
 func (r *Result) LaneAccesses() []Access {
 	if len(r.Accesses) > 0 || len(r.Batch) == 0 {
 		return r.Accesses
@@ -179,8 +149,8 @@ func (w *Warp) resolveBatchSpace(res *Result, gi int) {
 	wa.Mask &^= sharedMask
 }
 
-// execLoadBatched is execLoad on the batched path: one address pass, one
-// space resolution, then bulk data movement — a single read for a
+// execLoadBatched executes a decoded ld: one address pass, one space
+// resolution, then bulk data movement — a single read for a
 // uniform broadcast, one read per maximal unit-stride lane run for
 // everything else global, and direct slice reads for shared memory.
 //
@@ -262,7 +232,7 @@ func (w *Warp) unpackLoad(d *DInstr, base int, src []byte) {
 	}
 }
 
-// execStoreBatched is execStore on the batched path.
+// execStoreBatched executes a decoded st the same way.
 //
 //simlint:hotpath
 func (w *Warp) execStoreBatched(d *DInstr, res *Result) {
@@ -284,8 +254,8 @@ func (w *Warp) execStoreBatched(d *DInstr, res *Result) {
 
 // storeGroup moves one group's register values into memory. Lane order
 // is preserved (within a run addresses are disjoint; runs are emitted in
-// lane order), so overlapping stores resolve exactly as the per-lane
-// path does: last lane wins.
+// lane order), so overlapping stores resolve as a per-lane store loop
+// would: last lane wins.
 //
 //simlint:hotpath
 func (w *Warp) storeGroup(d *DInstr, g *WarpAccess) {

@@ -10,12 +10,98 @@ import (
 
 // The batched access path must be invisible at the architectural level:
 // for any kernel, the registers written, the bytes moved, and the
-// per-lane access stream the timing model sees must match the legacy
-// per-lane path exactly. The torture kernel below exercises the shapes
-// the batched fast paths dispatch on — unit-stride, broadcast, scattered,
-// mirrored — plus the edges the ISSUE calls out: predicated
-// (partially-active) lanes, 16-bit accesses, misaligned and
+// per-lane access stream the timing model sees must match the per-lane
+// reference executors below (execLoad/execStore) exactly. The torture
+// kernel exercises the shapes the batched fast paths dispatch on —
+// unit-stride, broadcast, scattered, mirrored — plus the edges:
+// predicated (partially-active) lanes, 16-bit accesses, misaligned and
 // sector-spanning addresses, and a partially populated warp.
+
+// execLoad is the per-lane reference for execLoadBatched: one guard
+// check, space resolution, Memory call and Access per lane, in lane
+// order.
+func (w *Warp) execLoad(d *DInstr, res *Result) {
+	in := d.In
+	words := int(d.words)
+	nbytes := uint64(d.membytes)
+	var membuf [16]byte
+	buf := membuf[:nbytes]
+	nr := w.Kernel.NumRegs
+	addr0 := &d.srcs[0]
+	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
+		if !d.laneOn(w, base, lane) {
+			continue
+		}
+		addr := d.val(w, base, lane, addr0)
+		// Resolve the space once and dispatch directly instead of going
+		// through Env.read (which would re-resolve per lane).
+		sp, a := w.Env.resolveSpace(in.Space, addr)
+		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp})
+		if sp == Shared {
+			copy(buf, w.Env.Shared[a:a+nbytes])
+		} else {
+			w.Env.Global.Read(a, buf)
+		}
+		if in.Width == 16 {
+			w.regs[base+int(d.dsts[0])] = uint64(buf[0]) | uint64(buf[1])<<8
+			continue
+		}
+		for i := 0; i < words; i++ {
+			v := uint64(buf[4*i]) | uint64(buf[4*i+1])<<8 | uint64(buf[4*i+2])<<16 | uint64(buf[4*i+3])<<24
+			w.regs[base+int(d.dsts[i])] = v
+		}
+	}
+}
+
+// execStore is the per-lane reference for execStoreBatched.
+func (w *Warp) execStore(d *DInstr, res *Result) {
+	in := d.In
+	words := int(d.words)
+	nbytes := uint64(d.membytes)
+	var membuf [16]byte
+	buf := membuf[:nbytes]
+	nr := w.Kernel.NumRegs
+	addr0 := &d.srcs[0]
+	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
+		if !d.laneOn(w, base, lane) {
+			continue
+		}
+		addr := d.val(w, base, lane, addr0)
+		sp, a := w.Env.resolveSpace(in.Space, addr)
+		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp, Store: true})
+		if in.Width == 16 {
+			v := d.val(w, base, lane, &d.srcs[1])
+			buf[0], buf[1] = byte(v), byte(v>>8)
+		} else {
+			for i := 0; i < words; i++ {
+				v := d.val(w, base, lane, &d.srcs[1+i])
+				buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			}
+		}
+		if sp == Shared {
+			copy(w.Env.Shared[a:a+nbytes], buf)
+		} else {
+			w.Env.Global.Write(a, buf)
+		}
+	}
+}
+
+// refStep is Step with ld/st routed through the per-lane reference
+// executors.
+func refStep(w *Warp) (Result, error) {
+	d := w.PeekD()
+	if d == nil || (d.Class != DClassLd && d.Class != DClassSt) {
+		return w.Step()
+	}
+	res := Result{Instr: d.In}
+	if d.Class == DClassLd {
+		w.execLoad(d, &res)
+	} else {
+		w.execStore(d, &res)
+	}
+	w.PC++
+	return res, nil
+}
 
 // buildBatchTorture builds the load/store torture kernel. Every lane
 // computes its id-derived addresses; the guard predicate (laneid&1 == 0)
@@ -119,8 +205,8 @@ func buildBatchTorture() *Kernel {
 	return b.MustBuild()
 }
 
-// batchRun executes the torture kernel on one CTA and records everything
-// the two paths must agree on.
+// batchRun records everything the batched and reference runs of the
+// torture kernel must agree on.
 type batchRun struct {
 	global   []byte
 	shared   []byte
@@ -128,9 +214,10 @@ type batchRun struct {
 	accesses [][]Access
 }
 
-func runBatchTorture(t *testing.T, legacy bool, block Dim3) batchRun {
+// runBatchTorture executes the torture kernel on one CTA, stepping each
+// warp with step (Warp.Step or refStep).
+func runBatchTorture(t *testing.T, step func(*Warp) (Result, error), block Dim3) batchRun {
 	t.Helper()
-	defer SwapLegacyAccessPath(legacy)()
 	k := buildBatchTorture()
 	mem := NewFlatMemory(1 << 16)
 	for i := range mem.Data {
@@ -151,7 +238,7 @@ func runBatchTorture(t *testing.T, legacy bool, block Dim3) batchRun {
 			t.Fatal(err)
 		}
 		for !w.Exited {
-			res, err := w.Step()
+			res, err := step(w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,34 +262,34 @@ func TestBatchedLoadStoreMatchesLegacy(t *testing.T) {
 		{"partial_warp", D1(40)}, // second warp has 8 active lanes
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := runBatchTorture(t, true, tc.block)
-			batched := runBatchTorture(t, false, tc.block)
-			if !reflect.DeepEqual(legacy.accesses, batched.accesses) {
-				for i := range legacy.accesses {
-					if i < len(batched.accesses) && !reflect.DeepEqual(legacy.accesses[i], batched.accesses[i]) {
-						t.Fatalf("access stream %d differs:\nlegacy:  %v\nbatched: %v",
-							i, legacy.accesses[i], batched.accesses[i])
+			ref := runBatchTorture(t, refStep, tc.block)
+			batched := runBatchTorture(t, (*Warp).Step, tc.block)
+			if !reflect.DeepEqual(ref.accesses, batched.accesses) {
+				for i := range ref.accesses {
+					if i < len(batched.accesses) && !reflect.DeepEqual(ref.accesses[i], batched.accesses[i]) {
+						t.Fatalf("access stream %d differs:\nreference: %v\nbatched:   %v",
+							i, ref.accesses[i], batched.accesses[i])
 					}
 				}
-				t.Fatalf("access stream lengths differ: legacy %d, batched %d",
-					len(legacy.accesses), len(batched.accesses))
+				t.Fatalf("access stream lengths differ: reference %d, batched %d",
+					len(ref.accesses), len(batched.accesses))
 			}
-			if !reflect.DeepEqual(legacy.global, batched.global) {
-				t.Error("global memory differs between legacy and batched paths")
+			if !reflect.DeepEqual(ref.global, batched.global) {
+				t.Error("global memory differs between the reference and batched paths")
 			}
-			if !reflect.DeepEqual(legacy.shared, batched.shared) {
-				t.Error("shared memory differs between legacy and batched paths")
+			if !reflect.DeepEqual(ref.shared, batched.shared) {
+				t.Error("shared memory differs between the reference and batched paths")
 			}
-			if !reflect.DeepEqual(legacy.regs, batched.regs) {
-				t.Error("register state differs between legacy and batched paths")
+			if !reflect.DeepEqual(ref.regs, batched.regs) {
+				t.Error("register state differs between the reference and batched paths")
 			}
 		})
 	}
 }
 
 // The batched ld/st path must produce exactly one group per space with
-// the lane addresses the legacy path reported — and resolve generic
-// space statically at decode time.
+// the per-lane addresses — and resolve generic space statically at
+// decode time.
 func TestBatchedLdStGroupShapes(t *testing.T) {
 	b := NewBuilder("group_shapes")
 	pbase := b.Param("base", U64)
@@ -263,37 +350,71 @@ func wmmaLoadStoreKernel() *Kernel {
 	return b.MustBuild()
 }
 
-// A wmma load must batch into slot-aligned groups that expand to the
-// identical per-lane access list the legacy path emits.
-func TestBatchedWmmaMatchesLegacy(t *testing.T) {
-	step := func(legacy bool) ([]Access, []byte) {
-		defer SwapLegacyAccessPath(legacy)()
-		k := wmmaLoadStoreKernel()
-		mem := NewFlatMemory(4096)
-		for i := range mem.Data {
-			mem.Data[i] = byte(i * 5)
+// refFragAccesses is the per-lane reference emission of a wmma.load or
+// wmma.store about to execute: every enabled lane's fragment pieces in
+// lane-major order, tagged with the space the lane's first element
+// resolves to.
+func refFragAccesses(t *testing.T, w *Warp, d *DInstr) []Access {
+	t.Helper()
+	m := d.In.WMap
+	base, err := w.uniformOperand(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride, err := w.uniformOperand(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Access
+	for lane := 0; lane < 32; lane++ {
+		if !w.laneEnabled(lane, d.In) {
+			continue
 		}
-		env := &Env{Global: mem, GridDim: D1(1), BlockDim: D1(32), Clock: func() uint64 { return 0 }}
-		w, err := NewWarp(k, env, 0, []uint64{0, 2048})
+		var addrs []uint64
+		for _, c := range m.Lanes[lane] {
+			addrs = append(addrs, base+uint64(memOffsetFor(m, c, int(stride)))*uint64(d.membytes))
+		}
+		sp, _ := w.Env.resolveSpace(d.In.Space, addrs[0])
+		for _, p := range w.fragPieces(addrs, m.Elem.Bits()) {
+			out = append(out, Access{Lane: lane, Addr: p.addr, Bits: int(p.bits), Space: sp,
+				Store: d.Class == DClassWmmaStore})
+		}
+	}
+	return out
+}
+
+// A wmma load/store must batch into slot-aligned groups that expand to
+// the reference per-lane access list.
+func TestBatchedWmmaMatchesLegacy(t *testing.T) {
+	k := wmmaLoadStoreKernel()
+	mem := NewFlatMemory(4096)
+	for i := range mem.Data {
+		mem.Data[i] = byte(i * 5)
+	}
+	env := &Env{Global: mem, GridDim: D1(1), BlockDim: D1(32), Clock: func() uint64 { return 0 }}
+	w, err := NewWarp(k, env, 0, []uint64{0, 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for !w.Exited {
+		var want []Access
+		if d := w.PeekD(); d != nil && (d.Class == DClassWmmaLoad || d.Class == DClassWmmaStore) {
+			want = refFragAccesses(t, w, d)
+			checked++
+		}
+		res, err := w.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var accesses []Access
-		for !w.Exited {
-			res, err := w.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			accesses = append(accesses, res.LaneAccesses()...)
+		if len(res.Batch) == 0 && len(res.Accesses) > 0 {
+			t.Errorf("pc %d: uniform fragment fell back to per-lane accesses", w.PC-1)
 		}
-		return accesses, mem.Data
+		if got := res.LaneAccesses(); want != nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("pc %d: wmma access stream differs: batched %d entries, reference %d", w.PC-1, len(got), len(want))
+		}
 	}
-	legacyAcc, legacyMem := step(true)
-	batchedAcc, batchedMem := step(false)
-	if !reflect.DeepEqual(legacyAcc, batchedAcc) {
-		t.Errorf("wmma access streams differ: legacy %d entries, batched %d", len(legacyAcc), len(batchedAcc))
-	}
-	if !reflect.DeepEqual(legacyMem, batchedMem) {
-		t.Error("wmma memory state differs between paths")
+	if checked != 4 {
+		t.Fatalf("checked %d wmma load/store instructions, want 4", checked)
 	}
 }

@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -132,20 +133,33 @@ func opsCoverageKernel(t *testing.T) *Kernel {
 	return b.MustBuild()
 }
 
+// interpretedCopy returns a copy of k whose decoded program routes every
+// ALU and SFU instruction through aluGeneric, the per-lane execALU
+// interpreter — the reference the specialized executors must match.
+func interpretedCopy(k *Kernel) *Kernel {
+	c := *k
+	c.prog = append([]DInstr(nil), k.prog...)
+	for i := range c.prog {
+		if d := &c.prog[i]; d.Class == DClassALU || d.Class == DClassSFU {
+			d.alu = aluGeneric
+		}
+	}
+	return &c
+}
+
 // The decoded table-driven dispatch must produce bit-identical results to
 // the per-lane interpreted path for every operation.
 func TestDecodedMatchesInterpreted(t *testing.T) {
-	run := func(interpret bool) []byte {
-		defer SwapInterpretALU(interpret)()
-		k := opsCoverageKernel(t) // decode happens at Build under the mode
+	run := func(k *Kernel) []byte {
 		mem := NewFlatMemory(64 << 10)
 		if err := RunGrid(k, mem, D1(2), D1(64), []uint64{0}); err != nil {
 			t.Fatal(err)
 		}
 		return mem.Data
 	}
-	decoded := run(false)
-	interpreted := run(true)
+	k := opsCoverageKernel(t)
+	decoded := run(k)
+	interpreted := run(interpretedCopy(k))
 	if !bytes.Equal(decoded, interpreted) {
 		for i := range decoded {
 			if decoded[i] != interpreted[i] {
@@ -156,27 +170,28 @@ func TestDecodedMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// InterpretALU must actually route ALU instructions through the generic
-// path, otherwise TestDecodedMatchesInterpreted compares the decoded
-// executor against itself.
-func TestInterpretALUTogglesDecode(t *testing.T) {
-	build := func() *Kernel {
-		b := NewBuilder("toggle")
-		out := b.Param("out", U64)
-		r := b.Reg()
-		b.Add(U32, r, Imm(1), Imm(2))
-		b.St(Global, 32, R(out), []Operand{R(r)})
-		b.Exit()
-		return b.MustBuild()
+// The interpreted copy must actually route ALU instructions through the
+// generic path while leaving the original specialized, otherwise
+// TestDecodedMatchesInterpreted compares the decoded executor against
+// itself.
+func TestInterpretedCopyUsesGenericALU(t *testing.T) {
+	k := opsCoverageKernel(t)
+	ic := interpretedCopy(k)
+	specialized := 0
+	for i := range k.prog {
+		d, g := &k.prog[i], &ic.prog[i]
+		if d.Class != DClassALU && d.Class != DClassSFU {
+			continue
+		}
+		if d.alu != aluGeneric {
+			specialized++
+		}
+		if g.alu != aluGeneric {
+			t.Fatalf("instr %d (%v): interpreted copy kept kind %d", i, d.In.Op, g.alu)
+		}
 	}
-	k := build()
-	if k.prog[0].alu == aluGeneric {
-		t.Fatal("add.u32 should decode to a specialized executor")
-	}
-	defer SwapInterpretALU(true)()
-	k2 := build()
-	if k2.prog[0].alu != aluGeneric {
-		t.Fatal("InterpretALU(true) should decode to the generic path")
+	if specialized == 0 {
+		t.Fatal("the coverage kernel decodes no specialized ALU executor")
 	}
 }
 
@@ -243,4 +258,155 @@ func TestDecodedBranchTargets(t *testing.T) {
 	if _, err := w.Step(); err == nil {
 		t.Error("branch to unknown label should error")
 	}
+}
+
+// aluShape is one ALU instruction form for FuzzDecodedALUMatchesGeneric:
+// opcode, type, cvt source type and source count.
+type aluShape struct {
+	op   Opcode
+	typ  Type
+	src  Type
+	nsrc int
+}
+
+// aluShapes covers every specialized aluKind, and every cvt pair with a
+// direct conversion function.
+var aluShapes = []aluShape{
+	{OpMov, U32, 0, 1}, {OpMov, U64, 0, 1}, {OpMov, F16, 0, 1},
+	{OpAdd, U32, 0, 2}, {OpAdd, U64, 0, 2}, {OpAdd, S32, 0, 2}, {OpAdd, F32, 0, 2},
+	{OpSub, U32, 0, 2}, {OpSub, U64, 0, 2}, {OpSub, S32, 0, 2}, {OpSub, F32, 0, 2},
+	{OpMul, U32, 0, 2}, {OpMul, U64, 0, 2}, {OpMul, S32, 0, 2}, {OpMul, F32, 0, 2},
+	{OpMulWide, U64, 0, 2},
+	{OpMad, U32, 0, 3}, {OpMad, S32, 0, 3}, {OpMad, U64, 0, 3}, {OpMad, F32, 0, 3}, {OpMad, F16X2, 0, 3},
+	{OpAnd, U32, 0, 2}, {OpAnd, U64, 0, 2}, {OpOr, U32, 0, 2}, {OpXor, U64, 0, 2},
+	{OpShl, U32, 0, 2}, {OpShl, U64, 0, 2}, {OpShr, U32, 0, 2}, {OpShr, U64, 0, 2}, {OpShr, S32, 0, 2},
+	{OpSetp, U32, 0, 2}, {OpSetp, S32, 0, 2}, {OpSetp, U64, 0, 2}, {OpSetp, F32, 0, 2},
+	{OpSelp, U32, 0, 3}, {OpSelp, U64, 0, 3},
+	{OpCvt, U32, U32, 1}, {OpCvt, F16, F16, 1}, {OpCvt, U64, U32, 1}, {OpCvt, U64, S32, 1},
+	{OpCvt, U32, U64, 1}, {OpCvt, S32, U64, 1}, {OpCvt, U32, S32, 1}, {OpCvt, S32, U32, 1},
+	{OpCvt, F32, F16, 1}, {OpCvt, F16, F32, 1}, {OpCvt, F32, S32, 1}, {OpCvt, F32, U32, 1},
+	{OpCvt, U32, F32, 1}, {OpCvt, S32, F32, 1}, {OpCvt, F16, S32, 1}, {OpCvt, F16, U32, 1},
+}
+
+// FuzzDecodedALUMatchesGeneric runs each specialized warp-wide ALU
+// executor against the per-lane interpreter (execALU via dALUGeneric) on
+// the same decoded instruction: random operand bits on all 32 lanes, a
+// random guard mask and polarity, register or immediate sources, and an
+// optional destination that aliases a source. Registers must match bit
+// for bit. Register layout: r0 destination, r1–r3 sources, r4 guard.
+func FuzzDecodedALUMatchesGeneric(f *testing.F) {
+	covered := map[aluKind]bool{}
+	for _, s := range aluShapes {
+		k, _, _ := aluKindFor(&Instr{Op: s.op, Type: s.typ, SrcType: s.src})
+		if k == aluGeneric {
+			f.Fatalf("shape %+v decodes to the generic path", s)
+		}
+		covered[k] = true
+	}
+	for k := aluGeneric + 1; k < nALUKinds; k++ {
+		if !covered[k] {
+			f.Fatalf("aluKind %d has no fuzz shape", k)
+		}
+	}
+
+	const (
+		f16NaN   = 0x7e00
+		f16SNaN  = 0x7c01
+		f32NaN   = 0x7fc00000
+		s32Max   = 0x7fffffff
+		s32Min   = 0x80000000
+		u64Max   = ^uint64(0)
+		allLanes = ^uint32(0)
+	)
+	shapeOf := func(op Opcode, typ, src Type) uint8 {
+		for i, s := range aluShapes {
+			if s.op == op && s.typ == typ && s.src == src {
+				return uint8(i)
+			}
+		}
+		f.Fatalf("no fuzz shape %v.%v", op, typ)
+		return 0
+	}
+	for i := range aluShapes {
+		f.Add(uint8(i), uint8(0), uint8(0), allLanes, uint64(3), uint64(5), uint64(7), int64(i))
+	}
+	// f16/f16x2 NaNs through mad.f16x2 and the f16 conversions.
+	f.Add(shapeOf(OpMad, F16X2, 0), uint8(0), uint8(0), allLanes,
+		uint64(f16NaN<<16|f16SNaN), uint64(0x3c00_3c00), uint64(f16NaN), int64(1))
+	f.Add(shapeOf(OpCvt, F32, F16), uint8(0), uint8(0), uint32(0x0f0f0f0f), uint64(f16SNaN), uint64(0), uint64(0), int64(2))
+	f.Add(shapeOf(OpCvt, F16, F32), uint8(0), uint8(0), allLanes, uint64(f32NaN), uint64(0), uint64(0), int64(3))
+	// f32 NaN compares.
+	f.Add(shapeOf(OpSetp, F32, 0), uint8(CmpNE), uint8(0), allLanes, uint64(f32NaN), uint64(f32NaN), uint64(0), int64(4))
+	// Signed overflow: add/sub/mul/mad at the s32 range ends, arithmetic
+	// shift of the minimum, and u64 wrap with the destination aliased.
+	f.Add(shapeOf(OpAdd, S32, 0), uint8(0), uint8(0), allLanes, uint64(s32Max), uint64(1), uint64(0), int64(5))
+	f.Add(shapeOf(OpSub, S32, 0), uint8(0), uint8(0), allLanes, uint64(s32Min), uint64(1), uint64(0), int64(6))
+	f.Add(shapeOf(OpMul, S32, 0), uint8(0), uint8(0b10), allLanes, uint64(s32Min), u64Max, uint64(0), int64(7))
+	f.Add(shapeOf(OpMad, S32, 0), uint8(0), uint8(0), uint32(0xaaaaaaaa),
+		uint64(s32Max), uint64(s32Max), uint64(s32Max), int64(8))
+	f.Add(shapeOf(OpShr, S32, 0), uint8(0), uint8(0b10), allLanes, uint64(s32Min), uint64(31), uint64(0), int64(9))
+	f.Add(shapeOf(OpAdd, U64, 0), uint8(0), uint8(0b100000), allLanes, u64Max, uint64(1), uint64(0), int64(10))
+
+	f.Fuzz(func(t *testing.T, shape, cmp, flags uint8, guard uint32, a, b, c uint64, seed int64) {
+		s := aluShapes[int(shape)%len(aluShapes)]
+		in := &Instr{Op: s.op, Type: s.typ, SrcType: s.src, Cmp: CmpOp(int(cmp) % 6), Dst: []Reg{{ID: 0}}}
+		fuzz := [3]uint64{a, b, c}
+		for i := 0; i < s.nsrc; i++ {
+			// flags bits 0–2: source i is an immediate.
+			if flags&(1<<i) != 0 {
+				in.Src = append(in.Src, Imm(fuzz[i]))
+			} else {
+				in.Src = append(in.Src, R(Reg{ID: 1 + i}))
+			}
+		}
+		if flags&(1<<3) == 0 { // bit 3: unguarded
+			in.Pred, in.PNeg = &Reg{ID: 4}, flags&(1<<4) != 0
+		}
+		if flags&(1<<5) != 0 { // bit 5: destination aliases source 0's register
+			in.Dst[0] = Reg{ID: 1}
+		}
+		k := &Kernel{Name: "alufuzz", NumRegs: 5, Instrs: []Instr{*in}}
+		var d DInstr
+		decodeInstr(k, &k.Instrs[0], &d)
+		if d.alu == aluGeneric {
+			t.Fatalf("shape %+v decoded to the generic path", s)
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		regs := make([]uint64, 32*k.NumRegs)
+		for lane := 0; lane < 32; lane++ {
+			r := regs[lane*k.NumRegs:]
+			r[0] = rng.Uint64()
+			for i := range fuzz {
+				// Every fourth lane carries the fuzzed bits exactly;
+				// the rest draw fresh 64-bit patterns.
+				if lane%4 == 0 {
+					r[1+i] = fuzz[i]
+				} else {
+					r[1+i] = rng.Uint64()
+				}
+			}
+			r[4] = uint64(guard >> lane & 1)
+		}
+		run := func(kind aluKind) ([]uint64, error) {
+			w := &Warp{Kernel: k, Env: &Env{GridDim: D1(1), BlockDim: D1(32)}, nLanes: 32}
+			for i := range w.Active {
+				w.Active[i] = true
+			}
+			w.regs = append([]uint64(nil), regs...)
+			err := aluTable[kind](w, &d)
+			return w.regs, err
+		}
+		got, gotErr := run(d.alu)
+		want, wantErr := run(aluGeneric)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%v %v: decoded error %v, generic error %v", s.op, s.typ, gotErr, wantErr)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v.%v (kind %d, flags %#x): lane %d r%d = %#x, generic %#x",
+					s.op, s.typ, d.alu, flags, i/k.NumRegs, i%k.NumRegs, got[i], want[i])
+			}
+		}
+	})
 }

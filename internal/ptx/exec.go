@@ -91,9 +91,9 @@ type Access struct {
 // Result reports the architectural effects of one executed instruction
 // that the timing model needs. Memory accesses arrive on exactly one of
 // two mutually exclusive paths: Batch holds the batched struct-of-arrays
-// groups (the default), Accesses the per-lane legacy form (the
-// LegacyAccessPath knob, plus wmma warps whose lanes disagree on
-// fragment structure). Both alias per-warp scratch buffers: they are
+// groups, Accesses the per-lane form, which only a wmma.load/store whose
+// lanes disagree on fragment structure or resolved state space produces
+// (see emitFragAccesses). Both alias per-warp scratch buffers: they are
 // valid until the warp's next Step call, which is the synchronous
 // consumption pattern of the timing model.
 type Result struct {
@@ -121,21 +121,13 @@ type Warp struct {
 	// warps of the kernel; see decode.go).
 	prog []DInstr
 
-	// legacy routes this warp through the per-lane access path; sampled
-	// from the LegacyAccessPath knob at construction, like the decoded
-	// ALU dispatch samples InterpretALU at decode time.
-	legacy bool
-	// legacyFrag routes this warp's wmma instructions through the
-	// per-element fragment path; sampled from LegacyFragmentPath at
-	// construction.
-	legacyFrag bool
-
 	// Scratch buffers reused across Step calls so the hot execution path
 	// stays allocation-free: staging buffers for loads/stores (membuf for
-	// one lane, bulk for a whole warp's contiguous runs), the
-	// Result.Accesses and Result.Batch backing arrays, wmma per-lane
-	// address lists, and the wmma piece list of the batched frag path.
-	membuf   [16]byte
+	// one wmma fragment element, bulk for a whole warp's contiguous
+	// runs), the Result.Accesses and Result.Batch backing arrays, wmma
+	// per-lane address lists, and the wmma piece list of the batched
+	// frag path.
+	membuf   [4]byte
 	bulk     [512]byte // 32 lanes × 16 bytes
 	accBuf   []Access
 	batchBuf []WarpAccess
@@ -157,8 +149,6 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 		return nil, fmt.Errorf("ptx: kernel %s takes %d args, got %d", k.Name, len(k.Params), len(args))
 	}
 	w := &Warp{Kernel: k, Env: env, ID: id}
-	w.legacy = legacyAccessPath.Load()
-	w.legacyFrag = legacyFragmentPath.Load()
 	w.prog = k.prog
 	if w.prog == nil {
 		// Hand-assembled kernels (no Builder.Build pass) decode a private
@@ -360,19 +350,11 @@ func (w *Warp) step(res *Result) error {
 		w.PC++
 		return nil
 	case DClassLd:
-		if w.legacy {
-			w.execLoad(d, res)
-		} else {
-			w.execLoadBatched(d, res)
-		}
+		w.execLoadBatched(d, res)
 		w.PC++
 		return nil
 	case DClassSt:
-		if w.legacy {
-			w.execStore(d, res)
-		} else {
-			w.execStoreBatched(d, res)
-		}
+		w.execStoreBatched(d, res)
 		w.PC++
 		return nil
 	}
@@ -408,69 +390,6 @@ func (w *Warp) branchVote(d *DInstr) (taken, uniform bool) {
 		}
 	}
 	return taken, true
-}
-
-func (w *Warp) execLoad(d *DInstr, res *Result) {
-	in := d.In
-	words := int(d.words)
-	nbytes := uint64(d.membytes)
-	buf := w.membuf[:nbytes]
-	nr := w.Kernel.NumRegs
-	addr0 := &d.srcs[0]
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		addr := d.val(w, base, lane, addr0)
-		// Resolve the space once and dispatch directly instead of going
-		// through Env.read (which would re-resolve per lane).
-		sp, a := w.Env.resolveSpace(in.Space, addr)
-		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp})
-		if sp == Shared {
-			copy(buf, w.Env.Shared[a:a+nbytes])
-		} else {
-			w.Env.Global.Read(a, buf)
-		}
-		if in.Width == 16 {
-			w.regs[base+int(d.dsts[0])] = uint64(buf[0]) | uint64(buf[1])<<8
-			continue
-		}
-		for i := 0; i < words; i++ {
-			v := uint64(buf[4*i]) | uint64(buf[4*i+1])<<8 | uint64(buf[4*i+2])<<16 | uint64(buf[4*i+3])<<24
-			w.regs[base+int(d.dsts[i])] = v
-		}
-	}
-}
-
-func (w *Warp) execStore(d *DInstr, res *Result) {
-	in := d.In
-	words := int(d.words)
-	nbytes := uint64(d.membytes)
-	buf := w.membuf[:nbytes]
-	nr := w.Kernel.NumRegs
-	addr0 := &d.srcs[0]
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		addr := d.val(w, base, lane, addr0)
-		sp, a := w.Env.resolveSpace(in.Space, addr)
-		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp, Store: true})
-		if in.Width == 16 {
-			v := d.val(w, base, lane, &d.srcs[1])
-			buf[0], buf[1] = byte(v), byte(v>>8)
-		} else {
-			for i := 0; i < words; i++ {
-				v := d.val(w, base, lane, &d.srcs[1+i])
-				buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			}
-		}
-		if sp == Shared {
-			copy(w.Env.Shared[a:a+nbytes], buf)
-		} else {
-			w.Env.Global.Write(a, buf)
-		}
-	}
 }
 
 // srcVal fetches one source operand with the lane's register base

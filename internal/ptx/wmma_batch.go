@@ -1,8 +1,6 @@
 package ptx
 
 import (
-	"sync/atomic"
-
 	"repro/internal/fp16"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
@@ -21,37 +19,9 @@ import (
 // moves in bulk over maximal element runs (one Memory call per run),
 // and gather/scatter walk slots in the outer loop with the precision
 // switch hoisted, indexing the tile storage through precomputed linear
-// offsets. The per-lane path remains for warps with guard predicates or
-// partial activity, for mappings whose lanes disagree on fragment
-// structure, and behind the LegacyFragmentPath knob.
-
-// legacyFragmentPath, when set, routes warps constructed afterwards
-// through the per-element wmma fragment path instead of the batched
-// slot-vector path. It exists so tests can assert the batched path is
-// semantics-preserving (bit-identical registers, memory, Stats and
-// experiment tables) and so the ablation benchmark can quantify the
-// difference; production code never sets it.
-//
-//simlint:processknob equivalence/ablation knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
-var legacyFragmentPath atomic.Bool
-
-// LegacyFragmentPath switches subsequently constructed warps between
-// the batched wmma fragment path (the default) and the per-element
-// legacy path, mirroring LegacyAccessPath.
-func LegacyFragmentPath(on bool) { legacyFragmentPath.Store(on) }
-
-// SwapLegacyFragmentPath sets the knob and returns the restore that
-// puts the previous value back; the only sanctioned test shape
-// (defer ptx.SwapLegacyFragmentPath(true)() or t.Cleanup).
-func SwapLegacyFragmentPath(on bool) (restore func()) {
-	prev := legacyFragmentPath.Swap(on)
-	return func() { legacyFragmentPath.Store(prev) }
-}
-
-// LegacyFragmentPathEnabled reports the knob's current setting. CLI
-// tests use it to pin that -legacyfrag restores the process-global on
-// return instead of leaking across in-process invocations.
-func LegacyFragmentPathEnabled() bool { return legacyFragmentPath.Load() }
+// offsets. The per-element path remains for warps with guard predicates
+// or partial activity and for mappings whose lanes disagree on fragment
+// structure.
 
 // fragPlan is the decoded form of one wmma.Mapping: per-slot lane
 // vectors of precomputed tile offsets, built once per static
@@ -104,10 +74,10 @@ func planFragment(m *wmma.Mapping) *fragPlan {
 }
 
 // fragVec reports whether the instruction takes the batched fragment
-// path: knob off, no guard predicate, fully populated warp. Callers
-// additionally require the relevant plans to exist.
+// path: no guard predicate, fully populated warp. Callers additionally
+// require the relevant plans to exist.
 func (w *Warp) fragVec(d *DInstr) bool {
-	return !w.legacyFrag && d.predID < 0 && w.nLanes == 32
+	return d.predID < 0 && w.nLanes == 32
 }
 
 // fragLaneAddrs fills the reusable per-lane address scratch from the
@@ -136,7 +106,7 @@ func (w *Warp) execWmmaLoadVec(d *DInstr, res *Result, base, stride uint64) {
 	p := d.wplan
 	elemBytes := uint64(d.membytes)
 	signExt := elemBytes == 1 && (m.Elem == wmma.S8 || m.Elem == wmma.S4)
-	batched := !w.legacy
+	batched := true
 	for lane := 0; lane < 32; lane++ {
 		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
 		forEachFragRun(addrs, elemBytes, func(i, j int) {
@@ -240,7 +210,7 @@ func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) {
 	m := in.WMap
 	p := d.wplan
 	elemBytes := uint64(d.membytes)
-	batched := !w.legacy
+	batched := true
 	nr := w.Kernel.NumRegs
 	for lane := 0; lane < 32; lane++ {
 		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)

@@ -112,11 +112,11 @@ func fragBatch(batch []WarpAccess, lane int, pieces []fragPiece, space Space, st
 	return batch, true
 }
 
-// emitFragAccesses routes one lane's fragment pieces onto the batched or
-// legacy path. batched is carried across the instruction's lanes: once a
-// lane's structure forces the legacy fallback, the groups built so far
-// are expanded (in the exact lane-major order the legacy path would have
-// produced) and every remaining lane appends per-lane Accesses.
+// emitFragAccesses routes one lane's fragment pieces into the batched
+// groups or the per-lane Access list. batched is carried across the
+// instruction's lanes: once a lane's structure forces the per-lane
+// fallback, the groups built so far are expanded in lane-major order and
+// every remaining lane appends per-lane Accesses.
 func (w *Warp) emitFragAccesses(res *Result, batched bool, lane int, addrs []uint64, elemBits int, space Space, store bool) bool {
 	pieces := w.fragPieces(addrs, elemBits)
 	if batched {
@@ -160,7 +160,7 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 		return nil
 	}
 	buf := w.membuf[:4]
-	batched := !w.legacy
+	batched := true
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue
@@ -204,7 +204,7 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 		return nil
 	}
 	buf := w.membuf[:4]
-	batched := !w.legacy
+	batched := true
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue

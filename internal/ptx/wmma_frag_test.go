@@ -12,7 +12,9 @@ import (
 // The batched fragment path must be invisible at the architectural
 // level: for any wmma kernel, the registers written, the bytes moved
 // (global and shared), and the per-lane access stream the timing model
-// sees must match the per-element legacy path exactly. The round-trip
+// sees must match the per-element path exactly — the path a decoded
+// copy with its fragment plans cleared takes (perElementCopy), and the
+// path partial or predicated warps take in production. The round-trip
 // kernels below cover every mapping family the batched plans encode —
 // both Volta layouts and precisions, the three Turing shapes, the
 // integer datapath — plus the edges that force the per-element
@@ -89,11 +91,23 @@ type fragRun struct {
 	accesses [][]Access
 }
 
-// runFragKernel executes the kernel on every warp of one CTA with the
-// fragment path selected by legacy.
-func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint64) fragRun {
+// perElementCopy returns a copy of k whose decoded program has every
+// fragment plan cleared, so its warps take the per-element wmma path.
+func perElementCopy(k *Kernel) *Kernel {
+	c := *k
+	c.prog = append([]DInstr(nil), k.prog...)
+	for i := range c.prog {
+		d := &c.prog[i]
+		d.wplan, d.wA, d.wB, d.wC, d.wD = nil, nil, nil, nil, nil
+	}
+	return &c
+}
+
+// runFragKernel executes the kernel on every warp of one CTA, checking
+// every wmma.load/store's access stream against the per-lane reference
+// emission as it goes.
+func runFragKernel(t *testing.T, k *Kernel, block Dim3, args []uint64) fragRun {
 	t.Helper()
-	defer SwapLegacyFragmentPath(legacy)()
 	mem := newFragTestMem()
 	env := &Env{
 		Global:   mem,
@@ -105,15 +119,22 @@ func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint
 	run := fragRun{}
 	nWarps := (block.Count() + 31) / 32
 	for id := 0; id < nWarps; id++ {
-		// Fresh warps per path: the knob is sampled at construction.
 		w, err := NewWarp(k, env, id, args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for !w.Exited {
+			var want []Access
+			if d := w.PeekD(); d != nil && (d.Class == DClassWmmaLoad || d.Class == DClassWmmaStore) {
+				want = refFragAccesses(t, w, d)
+			}
 			res, err := w.Step()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want != nil && !reflect.DeepEqual(res.LaneAccesses(), want) {
+				t.Fatalf("warp %d pc %d: access stream differs from the per-lane reference:\ngot:  %v\nwant: %v",
+					id, w.PC-1, res.LaneAccesses(), want)
 			}
 			if acc := res.LaneAccesses(); len(acc) > 0 {
 				run.accesses = append(run.accesses, append([]Access(nil), acc...))
@@ -126,25 +147,25 @@ func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint
 	return run
 }
 
-func compareFragRuns(t *testing.T, legacy, batched fragRun) {
+func compareFragRuns(t *testing.T, perElem, batched fragRun) {
 	t.Helper()
-	if !reflect.DeepEqual(legacy.accesses, batched.accesses) {
-		for i := range legacy.accesses {
-			if i < len(batched.accesses) && !reflect.DeepEqual(legacy.accesses[i], batched.accesses[i]) {
-				t.Fatalf("access stream %d differs:\nlegacy:  %v\nbatched: %v",
-					i, legacy.accesses[i], batched.accesses[i])
+	if !reflect.DeepEqual(perElem.accesses, batched.accesses) {
+		for i := range perElem.accesses {
+			if i < len(batched.accesses) && !reflect.DeepEqual(perElem.accesses[i], batched.accesses[i]) {
+				t.Fatalf("access stream %d differs:\nper-element: %v\nbatched:     %v",
+					i, perElem.accesses[i], batched.accesses[i])
 			}
 		}
-		t.Fatalf("access stream lengths differ: legacy %d, batched %d",
-			len(legacy.accesses), len(batched.accesses))
+		t.Fatalf("access stream lengths differ: per-element %d, batched %d",
+			len(perElem.accesses), len(batched.accesses))
 	}
-	if !reflect.DeepEqual(legacy.global, batched.global) {
+	if !reflect.DeepEqual(perElem.global, batched.global) {
 		t.Error("global memory differs between fragment paths")
 	}
-	if !reflect.DeepEqual(legacy.shared, batched.shared) {
+	if !reflect.DeepEqual(perElem.shared, batched.shared) {
 		t.Error("shared memory differs between fragment paths")
 	}
-	if !reflect.DeepEqual(legacy.regs, batched.regs) {
+	if !reflect.DeepEqual(perElem.regs, batched.regs) {
 		t.Error("register state differs between fragment paths")
 	}
 }
@@ -212,9 +233,9 @@ func TestFragmentPathMatchesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := wmmaRoundTrip(t, tc.cfg, tc.cLayout, tc.shared)
-			legacy := runFragKernel(t, k, true, tc.block, tc.args)
-			batched := runFragKernel(t, k, false, tc.block, tc.args)
-			compareFragRuns(t, legacy, batched)
+			perElem := runFragKernel(t, perElementCopy(k), tc.block, tc.args)
+			batched := runFragKernel(t, k, tc.block, tc.args)
+			compareFragRuns(t, perElem, batched)
 		})
 	}
 }

@@ -53,7 +53,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
-	"repro/internal/ptx"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -97,42 +96,6 @@ const (
 func ParseSchedulerPolicy(s string) (SchedulerPolicy, error) {
 	return gpu.ParseSchedulerPolicy(s)
 }
-
-// LegacyAccessPath routes warps created afterwards through the per-lane
-// memory access path instead of the batched struct-of-arrays pipeline
-// (the default). It is a debug/ablation knob: both paths produce
-// bit-identical Stats and experiment tables; the batched one is simply
-// faster. See DESIGN.md's "Batched memory path".
-func LegacyAccessPath(on bool) { ptx.LegacyAccessPath(on) }
-
-// SwapLegacyAccessPath sets the knob and returns a closure restoring the
-// previous setting. Tests flip knobs through the Swap form (registered
-// with defer or t.Cleanup) so a failure can never leak the legacy path
-// into later tests; simlint's globalmut analyzer enforces this.
-func SwapLegacyAccessPath(on bool) (restore func()) { return ptx.SwapLegacyAccessPath(on) }
-
-// LegacyFragmentPath routes warps created afterwards through the
-// per-element wmma fragment path (gather/scatter and fragment data
-// movement one element at a time) instead of the batched slot-vector
-// pipeline (the default). Like LegacyAccessPath it is a debug/ablation
-// knob: both paths produce bit-identical Stats and experiment tables.
-// See DESIGN.md's "Batched fragment path".
-func LegacyFragmentPath(on bool) { ptx.LegacyFragmentPath(on) }
-
-// SwapLegacyFragmentPath is the set-and-restore form of
-// LegacyFragmentPath; see SwapLegacyAccessPath.
-func SwapLegacyFragmentPath(on bool) (restore func()) { return ptx.SwapLegacyFragmentPath(on) }
-
-// ScanScheduler routes simulators constructed afterwards through the
-// legacy per-cycle full-scan warp scheduler instead of the event-driven
-// incremental issue order (the default). Like the other legacy knobs it
-// is a debug/ablation switch: both paths produce bit-identical Stats and
-// experiment tables. See DESIGN.md's "O(1) issue selection".
-func ScanScheduler(on bool) { gpu.ScanScheduler(on) }
-
-// SwapScanScheduler is the set-and-restore form of ScanScheduler; see
-// SwapLegacyAccessPath.
-func SwapScanScheduler(on bool) (restore func()) { return gpu.SwapScanScheduler(on) }
 
 // GemmKind selects the datapath of RunGEMM.
 type GemmKind int
